@@ -44,10 +44,26 @@ struct RowResult {
   std::size_t non_singleton = 0;
   std::size_t edges = 0;
   double cpu = 0, gpu = 0, h2d = 0, d2h = 0, disk = 0;
+  double emulate = 0;  ///< host seconds spent executing the modeled kernels
   double total = 0;
   double serial_total = 0;
   double serial_shingling = 0;
 };
+
+/// Measured host seconds the simulator spent executing the modeled device
+/// kernels (the passes' "<phase>.emulate" spans). A real GPU runs that work
+/// itself — its time is the modeled GPU column — so it stays out of the
+/// paper's CPU column and is reported on its own.
+obs::HostSeconds emulation_seconds(const obs::Tracer& tracer) {
+  obs::HostSeconds total;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.domain == obs::Domain::HostMeasured && e.depth == 0 &&
+        e.name.ends_with(".emulate")) {
+      total += obs::HostSeconds{e.duration_seconds};
+    }
+  }
+  return total;
+}
 
 RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
                        const core::ShinglingParams& params,
@@ -89,8 +105,10 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   // and disk columns, modeled device spans fill the GPU and transfer
   // columns — the domains stay separate all the way into the table.
   const obs::HostSeconds disk = tracer.host_total("load");
-  const obs::HostSeconds cpu = tracer.host_busy() - disk;
+  const obs::HostSeconds emulate = emulation_seconds(tracer);
+  const obs::HostSeconds cpu = tracer.host_busy() - disk - emulate;
   row.cpu = cpu.value;
+  row.emulate = emulate.value;
   row.gpu = tracer.modeled_category_total("kernel").value;
   row.h2d = tracer.modeled_category_total("copy_h2d").value;
   row.d2h = tracer.modeled_category_total("copy_d2h").value;
@@ -130,6 +148,9 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
               "hashing+sorting total %.1f%% of %.2fs\n",
               name.c_str(), 100.0 * row.serial_shingling / row.serial_total,
               100.0 * hash_sort / row.serial_total, row.serial_total);
+  std::printf("  host emulation of the modeled kernels [%s]: %.2fs "
+              "(not in the CPU column)\n",
+              name.c_str(), row.emulate);
   return row;
 }
 
@@ -203,6 +224,7 @@ int main(int argc, char** argv) {
           {"h2d_modeled_s", obs::json::number(r.h2d)},
           {"d2h_modeled_s", obs::json::number(r.d2h)},
           {"disk_s", obs::json::number(r.disk)},
+          {"emulate_s", obs::json::number(r.emulate)},
           {"total_s", obs::json::number(r.total)},
           {"serial_s", obs::json::number(r.serial_total)},
           {"serial_shingling_s", obs::json::number(r.serial_shingling)},

@@ -1,5 +1,6 @@
 #include "core/device_shingling.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "core/shingle.hpp"
@@ -68,9 +69,14 @@ void commit_effects(BatchEffects&& fx, ShingleTuples& tuples,
                     PendingMap& pending) {
   for (u32 id : fx.erased) pending.erase(id);
   for (auto& [id, acc] : fx.updated) pending[id] = std::move(acc);
-  for (std::size_t i = 0; i < fx.tuples.size(); ++i) {
-    tuples.append(fx.tuples.shingle[i], fx.tuples.owner[i]);
+  if (tuples.size() == 0) {
+    tuples = std::move(fx.tuples);
+    return;
   }
+  tuples.shingle.insert(tuples.shingle.end(), fx.tuples.shingle.begin(),
+                        fx.tuples.shingle.end());
+  tuples.owner.insert(tuples.owner.end(), fx.tuples.owner.begin(),
+                      fx.tuples.owner.end());
 }
 
 /// Shared consume step (identical for the device and CPU-fallback paths):
@@ -115,6 +121,13 @@ void consume_segment_minima(u32 list_id, bool starts, bool ends, u32 trial,
 /// the family's trials). Throws DeviceError/TransferError/KernelError on
 /// any (injected or real) fault; in that case no state was committed and
 /// the RAII DeviceVectors have already drained the arena.
+///
+/// Per trial the modeled device runs transform -> segmented_sort -> select
+/// (the select kernel reads only each segment's front s). Each of the three
+/// keeps its own fault point and modeled charge, in that order; the host
+/// emulates all three as one fused scan (min_s_images per segment, the
+/// same s-minima the serial and CPU-fallback paths compute) inside the
+/// select kernel's launch, recorded as the "<phase>.emulate" host span.
 BatchEffects process_batch_device(device::DeviceContext& ctx,
                                   const Batch& batch,
                                   std::span<const u32> members,
@@ -130,6 +143,12 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   const u32 c = family.size();
   const std::size_t nsegs = batch.num_segments();
   const std::size_t nelems = batch.num_elements();
+  // Every segment that ends its list emits one tuple per trial.
+  const std::size_t list_ends = static_cast<std::size_t>(
+      std::count_if(batch.seg_ends_list.begin(), batch.seg_ends_list.end(),
+                    [](u8 ends) { return ends != 0; }));
+  fx.tuples.shingle.reserve(list_ends * c);
+  fx.tuples.owner.reserve(list_ends * c);
 
   {  // CPU aggregates the batch for the device (Figure 3, step 1).
     util::ScopedTimer t(reg, cpu_metric);
@@ -145,35 +164,48 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   bufs.offsets = device::DeviceVector<u64>(ctx, nsegs + 1);
   device::copy_to_device<u64>(bufs.offsets, batch.seg_offsets, lane.compute);
 
+  // The permuted images the modeled transform writes and the segmented
+  // sort orders in place. The fused host scan never materializes them, but
+  // the buffer stays allocated so the arena (peak bytes, allocation fault
+  // indices, the derived batch size) accounts for the modeled pipeline.
   bufs.perm = device::DeviceVector<u64>(ctx, nelems);
   // Double-buffered minima so a copy-stream D2H can overlap the next trial.
   bufs.minima[0] = device::DeviceVector<u64>(ctx, nsegs * s);
   bufs.minima[1] = device::DeviceVector<u64>(ctx, nsegs * s);
   double copy_done[2] = {0.0, 0.0};
 
+  const auto member_span = bufs.members.device_span();
   const auto seg_span = bufs.offsets.device_span();
+  const double transform_cost = ctx.transform_cost(nelems);
+  const double sort_cost =
+      device::segmented_sort_cost<u64>(ctx, batch.seg_offsets);
+  const double select_cost = ctx.transform_cost(nsegs * s);
+  const std::string emulate_span = trace_phase + ".emulate";
 
   for (u32 j = 0; j < c; ++j) {
     const std::size_t buf = j % 2;
-    const AffineHash h = family[j];
+    const AffineHash& h = family[j];
 
-    // hi() over every member of the batch (thrust::transform).
-    device::transform(
-        bufs.members, bufs.perm, [h](u32 v) { return h(v); }, lane.compute);
-    // Per-segment sort (thrust-style segmented sort).
-    device::segmented_sort(bufs.perm, batch.seg_offsets, lane.compute);
+    // hi() over every member of the batch (thrust::transform), then the
+    // per-segment sort (thrust-style segmented sort).
+    device::launch_kernel(ctx, "transform", lane.compute, transform_cost);
+    device::launch_kernel(ctx, "segmented_sort", lane.compute, sort_cost);
     // Top-s selection into the trial's minima buffer. Must wait until
     // the previous copy out of this buffer has completed.
-    const auto perm_span = bufs.perm.device_span();
-    const u32 s_local = s;
-    const double select_done = device::tabulate(
-        bufs.minima[buf],
-        [perm_span, seg_span, s_local](std::size_t i) {
-          const std::size_t seg = i / s_local;
-          const u64 pos = seg_span[seg] + (i % s_local);
-          return pos < seg_span[seg + 1] ? perm_span[pos] : kNoValue;
-        },
-        lane.compute, copy_done[buf]);
+    const auto minima = bufs.minima[buf].device_span();
+    const double select_done = device::launch_kernel(
+        ctx, "tabulate", lane.compute, select_cost, copy_done[buf], [&] {
+          obs::HostSpan span(tracer, emulate_span);
+          ctx.pool().parallel_for(
+              0, nsegs, [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t seg = lo; seg < hi; ++seg) {
+                  min_s_images(
+                      member_span.subspan(seg_span[seg],
+                                          seg_span[seg + 1] - seg_span[seg]),
+                      h, s, minima.subspan(seg * s, s));
+                }
+              });
+        });
 
     host_minima.resize(nsegs * s);
     copy_done[buf] = device::copy_to_host<u64>(host_minima, bufs.minima[buf],
@@ -302,6 +334,7 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
               trace_phase, pending, lane, staging, host_minima);
           {
             util::ScopedTimer t(reg, cpu_metric);
+            obs::HostSpan span(tracer, trace_phase + ".commit");
             commit_effects(std::move(fx), tuples, pending);
           }
           for (std::size_t seg = 0; seg < batch.num_segments(); ++seg) {

@@ -10,6 +10,9 @@
 // and the s-minima per segment are copied back to the host, which hashes
 // them into <shingle, owner> tuples ("it is safe to transfer the generated
 // shingles back to the host memory after each iteration").
+// The simulated device's kernels execute on the host: all three as one
+// fused per-segment s-minima scan per trial, while each kernel keeps its
+// own fault point and is charged its unchanged modeled cost.
 //
 // Stream pipelining (DESIGN.md §8): the pass schedules batches over
 // `num_streams` device streams organized as lanes — each lane a
@@ -73,7 +76,10 @@ std::size_t default_batch_elements(const device::DeviceContext& ctx, u32 s,
 /// CPU-side staging/merging wall time is recorded under `cpu_metric` when
 /// `metrics` is non-null. When a tracer is attached to `ctx`, the same
 /// CPU sections become host-measured spans under `trace_phase` (".plan",
-/// ".stage", ".consume"), modeled device ops are attributed to the phase,
+/// ".stage", ".consume", ".commit"), the host's emulation of the device
+/// kernels becomes ".emulate" (measured host time spent standing in for
+/// the simulated device — not part of `cpu_metric`, and never mixed into
+/// the modeled timeline), modeled device ops are attributed to the phase,
 /// and the "batches"/"tuples" counters advance.
 ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
                                       std::span<const u64> offsets,

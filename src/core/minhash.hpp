@@ -18,7 +18,16 @@ struct AffineHash {
   u64 b = 0;
   u64 p = util::kMersenne61;
 
+  /// Runs for every member of every trial, so the default modulus — the
+  /// one every production path uses — reduces inline by Mersenne folding.
+  /// Both branches compute (mulmod(a, v mod P, P) + B) mod P bit for bit,
+  /// including the 64-bit wrap of the sum when B is not reduced.
   u64 operator()(u64 v) const {
+    if (p == util::kMersenne61) {
+      const u64 product = util::mulmod_mersenne61(util::mod_mersenne61(a),
+                                                  util::mod_mersenne61(v));
+      return util::mod_mersenne61(product + b);
+    }
     return (util::mulmod(a, v % p, p) + b) % p;
   }
 };

@@ -36,10 +36,10 @@ struct PipelineParams {
   ///        compute and copies.
   std::size_t num_streams = 1;
 
-  /// Hash-prefix shards of the CPU tuple aggregation. 1 = the flat gather
-  /// sort; >1 = shard-by-shingle-prefix (cache-sized sorts, one scatter
-  /// allocation). Values beyond the tuple count waste nothing — empty
-  /// shards are skipped.
+  /// Hash-prefix buckets of the CPU tuple aggregation
+  /// (aggregate_tuples_sharded). 1 = derive the count from the tuple count
+  /// (about 64 tuples per bucket, at most 2^16); >1 = exactly this many
+  /// buckets. Values beyond the tuple count only cost histogram space.
   u32 agg_shards = 1;
 
   /// Lane count implied by num_streams (ceil(num_streams / 2)).

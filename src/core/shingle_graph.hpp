@@ -45,19 +45,20 @@ struct BipartiteShingleGraph {
 /// Sorts tuples by shingle id and groups equal ids into one left node each
 /// ("a sorting is done to gather all vertices that generated each
 /// shingle"). Duplicate (shingle, owner) pairs collapse. Consumes the
-/// tuples to bound peak memory.
+/// tuples to bound peak memory. The sort is a parallel MSD bucketing on
+/// the top bits of the shingle id (per-thread histograms, a prefix sum, a
+/// scatter into one packed allocation) followed by a parallel sort, dedup
+/// and grouping of every bucket, with about 64 tuples per bucket and at
+/// most 2^16 buckets (DESIGN.md §8). Measured host time, not modeled
+/// device time.
 BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples);
 
-/// Sharded variant of aggregate_tuples (DESIGN.md §8): scatters the packed
-/// tuples by the top bits of the shingle id into `shards` contiguous
-/// regions of one allocation (count / prefix-sum / place), sorts each
-/// region independently, and groups the concatenation. The shard map
-/// floor(shingle * shards / 2^64) is monotone in the shingle id, so the
-/// concatenation of sorted shards *is* the globally sorted order and the
-/// graph is identical to aggregate_tuples for every shard count. The
-/// per-shard sorts are cache-sized at realistic shard counts, which is the
-/// entire point — this is measured host time, not modeled device time.
-/// `shards` <= 1 degenerates to the flat gather sort.
+/// aggregate_tuples with an explicit bucket count: `shards` > 1 buckets by
+/// floor(shingle * shards / 2^64); `shards` <= 1 derives the count from
+/// the tuple count, exactly as aggregate_tuples does. The bucket map is
+/// monotone in the shingle id, so the concatenation of sorted buckets *is*
+/// the globally sorted order and the graph is identical to
+/// aggregate_tuples for every shard count.
 BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards);
 

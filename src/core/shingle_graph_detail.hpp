@@ -1,8 +1,6 @@
 #pragma once
-// Internal helpers shared by the CPU and device tuple-aggregation paths.
+// Internal helper shared by the CPU and device tuple-aggregation paths.
 // Not part of the public API.
-
-#include <vector>
 
 #include "core/shingle_graph.hpp"
 
@@ -12,12 +10,5 @@ namespace gpclust::core::detail {
 inline __uint128_t pack_tuple(ShingleId shingle, u32 owner) {
   return (static_cast<__uint128_t>(shingle) << 32) | owner;
 }
-
-/// Moves the tuple arrays into a packed key vector, releasing the inputs.
-std::vector<__uint128_t> pack_tuples(ShingleTuples&& tuples);
-
-/// Deduplicates a sorted packed array and groups it into the bipartite
-/// shingle graph.
-BipartiteShingleGraph group_packed(std::vector<__uint128_t>&& packed);
 
 }  // namespace gpclust::core::detail

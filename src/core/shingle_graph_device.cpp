@@ -7,6 +7,34 @@
 
 namespace gpclust::core {
 
+namespace {
+
+/// Deduplicates a sorted packed array and groups it into the bipartite
+/// shingle graph.
+BipartiteShingleGraph group_packed(std::vector<__uint128_t>&& packed) {
+  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
+
+  BipartiteShingleGraph g;
+  g.members.reserve(packed.size());
+  g.offsets.push_back(0);
+  ShingleId current = 0;
+  bool in_group = false;
+  for (__uint128_t key : packed) {
+    const ShingleId s = static_cast<ShingleId>(key >> 32);
+    const u32 o = static_cast<u32>(key & 0xffffffffu);
+    if (!in_group || s != current) {
+      if (in_group) g.offsets.push_back(g.members.size());  // close group
+      current = s;
+      in_group = true;
+    }
+    g.members.push_back(o);
+  }
+  if (in_group) g.offsets.push_back(g.members.size());
+  return g;
+}
+
+}  // namespace
+
 BipartiteShingleGraph aggregate_tuples_device(device::DeviceContext& ctx,
                                               ShingleTuples&& tuples,
                                               std::size_t max_batch_elements,
@@ -82,7 +110,7 @@ BipartiteShingleGraph aggregate_tuples_device(device::DeviceContext& ctx,
     if (run_bounds.size() % 2 == 0) next.push_back(run_bounds.back());
     run_bounds = std::move(next);
   }
-  return detail::group_packed(std::move(merged));
+  return group_packed(std::move(merged));
 }
 
 }  // namespace gpclust::core

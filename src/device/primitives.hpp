@@ -7,7 +7,9 @@
 // computation on the host thread pool (the simulated device's cores) and
 // charges modeled device time on the context timeline. Every function
 // returns the op's completion time so callers can express cross-stream
-// dependencies (used by the asynchronous pipeline).
+// dependencies (used by the asynchronous pipeline). Every kernel with a
+// fault point launches through launch_kernel(), so the fault point, the
+// host execution and the modeled charge always happen in that order.
 
 #include <algorithm>
 #include <functional>
@@ -26,22 +28,49 @@ DeviceContext& ctx_of(const DeviceVector<T>& v) {
 }
 }  // namespace detail
 
+/// Launches one modeled kernel: the kernel fault point (which may throw
+/// KernelError), then `body` — the kernel's real computation on the host —
+/// then the modeled `cost` charged on `stream`, starting no earlier than
+/// `ready_after`. Returns the op's completion time.
+template <typename Body>
+double launch_kernel(DeviceContext& ctx, const char* primitive,
+                     StreamId stream, double cost, double ready_after,
+                     Body&& body) {
+  detail::maybe_inject_kernel_fault(ctx, primitive);
+  body();
+  return ctx.timeline().enqueue(stream, OpKind::Kernel, cost, ready_after);
+}
+
+/// A kernel whose host computation happens elsewhere: a caller emulating
+/// several kernels in one fused host pass charges each of them, with its
+/// own fault point, through this overload and runs the fused work as the
+/// last kernel's body.
+inline double launch_kernel(DeviceContext& ctx, const char* primitive,
+                            StreamId stream, double cost,
+                            double ready_after = 0.0) {
+  return launch_kernel(ctx, primitive, stream, cost, ready_after, [] {});
+}
+
 /// out[i] = f(in[i]) for i in [0, n). n defaults to in.size().
 /// Models one map kernel of n elements.
 template <typename T, typename U, typename F>
 double transform(const DeviceVector<T>& in, DeviceVector<U>& out, F f,
                  StreamId stream = kDefaultStream, double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "transform");
   GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
   GPCLUST_CHECK(out.size() >= in.size(), "output too small");
   auto src = in.device_span();
   auto dst = out.device_span();
-  ctx.pool().parallel_for(0, src.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] = f(src[i]);
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(src.size()), ready_after);
+  return launch_kernel(
+      ctx, "transform", stream, ctx.transform_cost(src.size()), ready_after,
+      [&] {
+        ctx.pool().parallel_for(0, src.size(),
+                                [&](std::size_t lo, std::size_t hi) {
+                                  for (std::size_t i = lo; i < hi; ++i) {
+                                    dst[i] = f(src[i]);
+                                  }
+                                });
+      });
 }
 
 /// out[i] = f(in[i]) like transform(), but for kernels whose per-element
@@ -55,16 +84,20 @@ double transform_weighted(const DeviceVector<T>& in, DeviceVector<U>& out, F f,
                           StreamId stream = kDefaultStream,
                           double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "transform_weighted");
   GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
   GPCLUST_CHECK(out.size() >= in.size(), "output too small");
   auto src = in.device_span();
   auto dst = out.device_span();
-  ctx.pool().parallel_for(0, src.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] = f(src[i]);
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.align_cost(total_cells), ready_after);
+  return launch_kernel(
+      ctx, "transform_weighted", stream, ctx.align_cost(total_cells),
+      ready_after, [&] {
+        ctx.pool().parallel_for(0, src.size(),
+                                [&](std::size_t lo, std::size_t hi) {
+                                  for (std::size_t i = lo; i < hi; ++i) {
+                                    dst[i] = f(src[i]);
+                                  }
+                                });
+      });
 }
 
 /// data[i] = f(i) — a grid-stride "generate" kernel.
@@ -72,13 +105,17 @@ template <typename T, typename F>
 double tabulate(DeviceVector<T>& data, F f, StreamId stream = kDefaultStream,
                 double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "tabulate");
   auto dst = data.device_span();
-  ctx.pool().parallel_for(0, dst.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] = f(i);
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(dst.size()), ready_after);
+  return launch_kernel(
+      ctx, "tabulate", stream, ctx.transform_cost(dst.size()), ready_after,
+      [&] {
+        ctx.pool().parallel_for(0, dst.size(),
+                                [&](std::size_t lo, std::size_t hi) {
+                                  for (std::size_t i = lo; i < hi; ++i) {
+                                    dst[i] = f(i);
+                                  }
+                                });
+      });
 }
 
 /// Whole-buffer comparison sort (thrust::sort).
@@ -86,11 +123,25 @@ template <typename T, typename Cmp = std::less<T>>
 double sort(DeviceVector<T>& data, Cmp cmp = Cmp{},
             StreamId stream = kDefaultStream, double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "sort");
   auto sp = data.device_span();
-  std::sort(sp.begin(), sp.end(), cmp);
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.sort_cost(sp.size()), ready_after);
+  return launch_kernel(ctx, "sort", stream, ctx.sort_cost(sp.size()),
+                       ready_after,
+                       [&] { std::sort(sp.begin(), sp.end(), cmp); });
+}
+
+/// Modeled duration of segmented_sort over `offsets` (num_segments + 1
+/// entries) of elements of type T: the sort cost of every element, with the
+/// spill penalty decided by the largest segment's bytes.
+template <typename T>
+double segmented_sort_cost(const DeviceContext& ctx,
+                           std::span<const u64> offsets) {
+  u64 max_segment = 0;
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    max_segment = std::max(max_segment, offsets[s + 1] - offsets[s]);
+  }
+  return ctx.segmented_sort_cost(
+      offsets.empty() ? 0 : static_cast<std::size_t>(offsets.back()),
+      static_cast<std::size_t>(max_segment) * sizeof(T));
 }
 
 /// Sorts each segment [offsets[s], offsets[s+1]) of `data` independently —
@@ -102,26 +153,21 @@ double segmented_sort(DeviceVector<T>& data, std::span<const u64> offsets,
                       StreamId stream = kDefaultStream,
                       double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "segmented_sort");
   GPCLUST_CHECK(!offsets.empty() && offsets.back() == data.size(),
                 "offsets must cover the data exactly");
   auto sp = data.device_span();
-  u64 max_segment = 0;
-  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
-    max_segment = std::max(max_segment, offsets[s + 1] - offsets[s]);
-  }
-  ctx.pool().parallel_for(
-      0, offsets.size() - 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          std::sort(sp.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+  return launch_kernel(
+      ctx, "segmented_sort", stream,
+      segmented_sort_cost<T>(ctx, offsets), ready_after, [&] {
+        ctx.pool().parallel_for(
+            0, offsets.size() - 1, [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t s = lo; s < hi; ++s) {
+                std::sort(
+                    sp.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
                     sp.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-        }
+              }
+            });
       });
-  return ctx.timeline().enqueue(
-      stream, OpKind::Kernel,
-      ctx.segmented_sort_cost(sp.size(),
-                              static_cast<std::size_t>(max_segment) * sizeof(T)),
-      ready_after);
 }
 
 /// Key-value sort (thrust::sort_by_key): reorders both arrays so keys are
@@ -130,25 +176,25 @@ template <typename K, typename V>
 double sort_by_key(DeviceVector<K>& keys, DeviceVector<V>& values,
                    StreamId stream = kDefaultStream, double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(keys);
-  detail::maybe_inject_kernel_fault(ctx, "sort_by_key");
   GPCLUST_CHECK(values.context() == &ctx, "vectors belong to different devices");
   GPCLUST_CHECK(keys.size() == values.size(), "key/value size mismatch");
   auto ks = keys.device_span();
   auto vs = values.device_span();
-  std::vector<u64> perm(ks.size());
-  std::iota(perm.begin(), perm.end(), u64{0});
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](u64 a, u64 b) { return ks[a] < ks[b]; });
-  std::vector<K> tmp_k(ks.size());
-  std::vector<V> tmp_v(vs.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    tmp_k[i] = ks[perm[i]];
-    tmp_v[i] = vs[perm[i]];
-  }
-  std::copy(tmp_k.begin(), tmp_k.end(), ks.begin());
-  std::copy(tmp_v.begin(), tmp_v.end(), vs.begin());
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.sort_cost(ks.size()), ready_after);
+  return launch_kernel(
+      ctx, "sort_by_key", stream, ctx.sort_cost(ks.size()), ready_after, [&] {
+        std::vector<u64> perm(ks.size());
+        std::iota(perm.begin(), perm.end(), u64{0});
+        std::stable_sort(perm.begin(), perm.end(),
+                         [&](u64 a, u64 b) { return ks[a] < ks[b]; });
+        std::vector<K> tmp_k(ks.size());
+        std::vector<V> tmp_v(vs.size());
+        for (std::size_t i = 0; i < perm.size(); ++i) {
+          tmp_k[i] = ks[perm[i]];
+          tmp_v[i] = vs[perm[i]];
+        }
+        std::copy(tmp_k.begin(), tmp_k.end(), ks.begin());
+        std::copy(tmp_v.begin(), tmp_v.end(), vs.begin());
+      });
 }
 
 /// Sum-reduction (thrust::reduce). The result is returned to the host,
@@ -157,11 +203,11 @@ template <typename T>
 T reduce(const DeviceVector<T>& data, T init,
          StreamId stream = kDefaultStream) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "reduce");
   auto sp = data.device_span();
-  const T total = std::accumulate(sp.begin(), sp.end(), init);
-  const double done = ctx.timeline().enqueue(
-      stream, OpKind::Kernel, ctx.transform_cost(sp.size()), 0.0);
+  T total = init;
+  const double done = launch_kernel(
+      ctx, "reduce", stream, ctx.transform_cost(sp.size()), 0.0,
+      [&] { total = std::accumulate(sp.begin(), sp.end(), init); });
   ctx.timeline().enqueue(stream, OpKind::CopyD2H, ctx.d2h_cost(sizeof(T)),
                          done);
   return total;
@@ -173,16 +219,16 @@ double exclusive_scan(DeviceVector<T>& data, T init,
                       StreamId stream = kDefaultStream,
                       double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "exclusive_scan");
   auto sp = data.device_span();
-  T running = init;
-  for (auto& x : sp) {
-    const T next = static_cast<T>(running + x);
-    x = running;
-    running = next;
-  }
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(sp.size()), ready_after);
+  return launch_kernel(ctx, "exclusive_scan", stream,
+                       ctx.transform_cost(sp.size()), ready_after, [&] {
+                         T running = init;
+                         for (auto& x : sp) {
+                           const T next = static_cast<T>(running + x);
+                           x = running;
+                           running = next;
+                         }
+                       });
 }
 
 /// data[i] = value for all i (thrust::fill).
@@ -190,13 +236,16 @@ template <typename T>
 double fill(DeviceVector<T>& data, T value, StreamId stream = kDefaultStream,
             double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "fill");
   auto sp = data.device_span();
-  ctx.pool().parallel_for(0, sp.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sp[i] = value;
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(sp.size()), ready_after);
+  return launch_kernel(
+      ctx, "fill", stream, ctx.transform_cost(sp.size()), ready_after, [&] {
+        ctx.pool().parallel_for(0, sp.size(),
+                                [&](std::size_t lo, std::size_t hi) {
+                                  for (std::size_t i = lo; i < hi; ++i) {
+                                    sp[i] = value;
+                                  }
+                                });
+      });
 }
 
 /// Inclusive prefix sum (thrust::inclusive_scan), in place.
@@ -205,15 +254,15 @@ double inclusive_scan(DeviceVector<T>& data,
                       StreamId stream = kDefaultStream,
                       double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "inclusive_scan");
   auto sp = data.device_span();
-  T running{};
-  for (auto& x : sp) {
-    running = static_cast<T>(running + x);
-    x = running;
-  }
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(sp.size()), ready_after);
+  return launch_kernel(ctx, "inclusive_scan", stream,
+                       ctx.transform_cost(sp.size()), ready_after, [&] {
+                         T running{};
+                         for (auto& x : sp) {
+                           running = static_cast<T>(running + x);
+                           x = running;
+                         }
+                       });
 }
 
 /// Removes consecutive duplicates in place (thrust::unique); returns the
@@ -222,12 +271,14 @@ double inclusive_scan(DeviceVector<T>& data,
 template <typename T>
 std::size_t unique(DeviceVector<T>& data, StreamId stream = kDefaultStream) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "unique");
   auto sp = data.device_span();
-  const auto end = std::unique(sp.begin(), sp.end());
-  ctx.timeline().enqueue(stream, OpKind::Kernel, ctx.transform_cost(sp.size()),
-                         0.0);
-  return static_cast<std::size_t>(end - sp.begin());
+  std::size_t count = 0;
+  launch_kernel(ctx, "unique", stream, ctx.transform_cost(sp.size()), 0.0,
+                [&] {
+                  count = static_cast<std::size_t>(
+                      std::unique(sp.begin(), sp.end()) - sp.begin());
+                });
+  return count;
 }
 
 /// Number of elements satisfying pred (thrust::count_if). Charges the scan
@@ -236,12 +287,13 @@ template <typename T, typename Pred>
 std::size_t count_if(const DeviceVector<T>& data, Pred pred,
                      StreamId stream = kDefaultStream) {
   DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "count_if");
   auto sp = data.device_span();
-  const std::size_t count = static_cast<std::size_t>(
-      std::count_if(sp.begin(), sp.end(), pred));
-  const double done = ctx.timeline().enqueue(
-      stream, OpKind::Kernel, ctx.transform_cost(sp.size()), 0.0);
+  std::size_t count = 0;
+  const double done = launch_kernel(
+      ctx, "count_if", stream, ctx.transform_cost(sp.size()), 0.0, [&] {
+        count = static_cast<std::size_t>(
+            std::count_if(sp.begin(), sp.end(), pred));
+      });
   ctx.timeline().enqueue(stream, OpKind::CopyD2H,
                          ctx.d2h_cost(sizeof(std::size_t)), done);
   return count;
@@ -253,17 +305,17 @@ template <typename T, typename Pred>
 std::size_t copy_if(const DeviceVector<T>& in, DeviceVector<T>& out, Pred pred,
                     StreamId stream = kDefaultStream, double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "copy_if");
   GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
   GPCLUST_CHECK(out.size() >= in.size(), "output too small");
   auto src = in.device_span();
   auto dst = out.device_span();
   std::size_t count = 0;
-  for (const T& x : src) {
-    if (pred(x)) dst[count++] = x;
-  }
-  ctx.timeline().enqueue(stream, OpKind::Kernel, ctx.transform_cost(src.size()),
-                         ready_after);
+  launch_kernel(ctx, "copy_if", stream, ctx.transform_cost(src.size()),
+                ready_after, [&] {
+                  for (const T& x : src) {
+                    if (pred(x)) dst[count++] = x;
+                  }
+                });
   return count;
 }
 
@@ -309,19 +361,20 @@ double gather(const DeviceVector<T>& in, const DeviceVector<u64>& map,
               DeviceVector<T>& out, StreamId stream = kDefaultStream,
               double ready_after = 0.0) {
   DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "gather");
   GPCLUST_CHECK(out.size() >= map.size(), "output too small");
   auto src = in.device_span();
   auto idx = map.device_span();
   auto dst = out.device_span();
-  ctx.pool().parallel_for(0, idx.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      GPCLUST_CHECK(idx[i] < src.size(), "gather index out of range");
-      dst[i] = src[idx[i]];
-    }
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(idx.size()), ready_after);
+  return launch_kernel(
+      ctx, "gather", stream, ctx.transform_cost(idx.size()), ready_after, [&] {
+        ctx.pool().parallel_for(
+            0, idx.size(), [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                GPCLUST_CHECK(idx[i] < src.size(), "gather index out of range");
+                dst[i] = src[idx[i]];
+              }
+            });
+      });
 }
 
 }  // namespace gpclust::device

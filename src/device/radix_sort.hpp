@@ -49,14 +49,15 @@ double radix_sort(DeviceVector<K>& keys, StreamId stream = kDefaultStream,
                   double ready_after = 0.0) {
   static_assert(std::is_unsigned_v<K>, "radix_sort requires unsigned keys");
   DeviceContext& ctx = detail::ctx_of(keys);
-  detail::maybe_inject_kernel_fault(ctx, "radix_sort");
-  DeviceVector<K> scratch(ctx, keys.size());
   auto ks = keys.device_span();
-  for (int shift = 0; shift < static_cast<int>(sizeof(K)) * 8; shift += 8) {
-    detail::radix_pass<K>(ks, scratch.device_span(), shift);
-  }
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.sort_cost(ks.size()), ready_after);
+  return launch_kernel(
+      ctx, "radix_sort", stream, ctx.sort_cost(ks.size()), ready_after, [&] {
+        DeviceVector<K> scratch(ctx, keys.size());
+        for (int shift = 0; shift < static_cast<int>(sizeof(K)) * 8;
+             shift += 8) {
+          detail::radix_pass<K>(ks, scratch.device_span(), shift);
+        }
+      });
 }
 
 /// Stable key-value radix sort (thrust::sort_by_key with radix backend).
@@ -68,17 +69,19 @@ double radix_sort_by_key(DeviceVector<K>& keys, DeviceVector<V>& values,
   DeviceContext& ctx = detail::ctx_of(keys);
   GPCLUST_CHECK(values.context() == &ctx, "vectors belong to different devices");
   GPCLUST_CHECK(keys.size() == values.size(), "key/value size mismatch");
-  detail::maybe_inject_kernel_fault(ctx, "radix_sort_by_key");
-  DeviceVector<K> key_scratch(ctx, keys.size());
-  DeviceVector<V> value_scratch(ctx, values.size());
   auto ks = keys.device_span();
   auto vs = values.device_span();
-  for (int shift = 0; shift < static_cast<int>(sizeof(K)) * 8; shift += 8) {
-    detail::radix_pass_kv<K, V>(ks, vs, key_scratch.device_span(),
-                                value_scratch.device_span(), shift);
-  }
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.sort_cost(ks.size()), ready_after);
+  return launch_kernel(
+      ctx, "radix_sort_by_key", stream, ctx.sort_cost(ks.size()), ready_after,
+      [&] {
+        DeviceVector<K> key_scratch(ctx, keys.size());
+        DeviceVector<V> value_scratch(ctx, values.size());
+        for (int shift = 0; shift < static_cast<int>(sizeof(K)) * 8;
+             shift += 8) {
+          detail::radix_pass_kv<K, V>(ks, vs, key_scratch.device_span(),
+                                      value_scratch.device_span(), shift);
+        }
+      });
 }
 
 }  // namespace gpclust::device

@@ -20,6 +20,25 @@ u64 next_prime(u64 n);
 /// (a * b) mod m without overflow for m < 2^63.
 u64 mulmod(u64 a, u64 b, u64 m);
 
+/// x mod kMersenne61 without a division: since 2^61 == 1 (mod 2^61 - 1),
+/// folding the bits above 61 onto the low 61 leaves a value <= P + 7, and
+/// one conditional subtract finishes the reduction.
+inline u64 mod_mersenne61(u64 x) {
+  const u64 r = (x & kMersenne61) + (x >> 61);
+  return r >= kMersenne61 ? r - kMersenne61 : r;
+}
+
+/// (a * b) mod kMersenne61 for a, b < kMersenne61. The product is below
+/// 2^122, so one fold of the 128-bit product leaves a value < 2P and one
+/// conditional subtract finishes the reduction. Equals
+/// mulmod(a, b, kMersenne61) without libgcc's 128-bit division.
+inline u64 mulmod_mersenne61(u64 a, u64 b) {
+  const __uint128_t x = static_cast<__uint128_t>(a) * b;
+  const u64 r =
+      (static_cast<u64>(x) & kMersenne61) + static_cast<u64>(x >> 61);
+  return r >= kMersenne61 ? r - kMersenne61 : r;
+}
+
 /// (base ^ exp) mod m.
 u64 powmod(u64 base, u64 exp, u64 m);
 

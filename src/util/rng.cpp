@@ -2,12 +2,6 @@
 
 namespace gpclust::util {
 
-u64 mix64(u64 x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 namespace {
 u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace

@@ -28,8 +28,13 @@ class SplitMix64 {
   u64 state_;
 };
 
-/// Stateless mix of a 64-bit value; used for shingle hashing.
-u64 mix64(u64 x);
+/// Stateless mix of a 64-bit value; used for shingle hashing. Inline: the
+/// shingle hash calls it 2s + 1 times per emitted tuple.
+inline u64 mix64(u64 x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Xoshiro256**: general-purpose generator for workload synthesis.
 /// Satisfies the C++ UniformRandomBitGenerator requirements.

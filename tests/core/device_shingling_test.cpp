@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "core/gpclust.hpp"
 #include "core/serial_pclust.hpp"
+#include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 
 namespace gpclust::core {
@@ -112,6 +115,152 @@ TEST_F(DeviceShinglingTest, ChargesDeviceTime) {
   EXPECT_GT(ctx_.gpu_seconds(), 0.0);
   EXPECT_GT(ctx_.h2d_seconds(), 0.0);
   EXPECT_GT(ctx_.d2h_seconds(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The fused host emulation of transform -> segmented_sort -> select: same
+// tuples, same modeled timeline, same fault sequence as executing the three
+// kernels one by one.
+// ---------------------------------------------------------------------------
+
+TEST(FusedEmulation, TuplesMatchSerialAcrossSplittingBatchSizes) {
+  const auto g = graph::generate_erdos_renyi(60, 0.25, 17);
+  const HashFamily family(9, util::kMersenne61, 31, 1);
+  for (u32 s : {1u, 3u, 5u}) {
+    const auto serial =
+        extract_shingles_serial(g.offsets(), g.adjacency(), family, s);
+    for (std::size_t batch : {5u, 13u, 100u, 0u}) {
+      for (std::size_t streams : {1u, 4u}) {
+        device::DeviceContext ctx(
+            device::DeviceSpec::small_test_device(8 << 20));
+        DevicePassOptions options;
+        options.max_batch_elements = batch;
+        options.num_streams = streams;
+        DevicePassStats stats;
+        const auto tuples =
+            extract_shingles_device(ctx, g.offsets(), g.adjacency(), family,
+                                    s, options, nullptr, "cpu", &stats);
+        EXPECT_EQ(canon(serial), canon(tuples))
+            << "s=" << s << " batch=" << batch << " streams=" << streams;
+        if (batch == 5) {
+          EXPECT_GT(stats.num_split_lists, 0u);
+        }
+        EXPECT_EQ(ctx.arena().used(), 0u);
+      }
+    }
+  }
+}
+
+graph::CsrGraph pinned_graph() {
+  graph::PlantedFamilyConfig cfg;
+  cfg.num_families = 8;
+  cfg.min_family_size = 5;
+  cfg.max_family_size = 16;
+  cfg.num_singletons = 6;
+  cfg.seed = 42;
+  return graph::generate_planted_families(cfg).graph;
+}
+
+struct PinnedTimeline {
+  std::size_t streams;
+  std::size_t batch;
+  const char* plan;
+  double makespan, gpu, h2d, d2h, gpu_exposed, h2d_exposed, d2h_exposed;
+  std::size_t arena_peak;
+};
+
+TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
+  // Recorded from the unfused emulation (one host pass per kernel) on the
+  // same graph; the fused scan must leave every modeled number unchanged,
+  // with and without faults.
+  const PinnedTimeline pins[] = {
+      {1, 64, "", 0x1.36bbbe5c9c8d7p-6, 0x1.a0b1e6c26c4b1p-8,
+       0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.a0b1e6c26c4ap-8,
+       0x1.2b3f73de49216p-9, 0x1.524eac6070ad9p-7, 1776},
+      {4, 64, "", 0x1.584088dc321a7p-7, 0x1.a0b1e6c26c4b1p-8,
+       0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.0eb34c1d39f84p-14,
+       0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472},
+      {1, 0, "", 0x1.4c615788d2f7fp-9, 0x1.f4d4d3ac64f85p-11,
+       0x1.25e516f087672p-12, 0x1.54deff7f5199cp-10, 0x1.f4d4d3ac64f88p-11,
+       0x1.25e516f087671p-12, 0x1.54deff7f5199ep-10, 17452},
+      {2, 64, "kernel_fail@kernel:5,xfer_fail@d2h:7", 0x1.8f6ad70e6f2e8p-7,
+       0x1.c6a4949f5ed48p-8, 0x1.46628fed1d7a6p-9, 0x1.5e2e08a6ed951p-7,
+       0x1.06385358979c4p-10, 0x1.075c3fc6ea61dp-11, 0x1.5e2e08a6ed94dp-7,
+       1776},
+  };
+  const auto g = pinned_graph();
+  ShinglingParams params;
+  params.c1 = 12;
+  params.c2 = 6;
+  for (const PinnedTimeline& pin : pins) {
+    SCOPED_TRACE(std::string("streams=") + std::to_string(pin.streams) +
+                 " batch=" + std::to_string(pin.batch) + " plan=" + pin.plan);
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+    fault::FaultPlan plan = fault::FaultPlan::parse(pin.plan);
+    GpClustOptions options;
+    options.max_batch_elements = pin.batch;
+    options.pipeline.num_streams = pin.streams;
+    if (!plan.empty()) {
+      options.fault_plan = &plan;
+      options.resilience.mode = fault::ResilienceMode::Retry;
+    }
+    GpClustReport report;
+    GpClust(ctx, params, options).cluster(g, &report);
+    EXPECT_DOUBLE_EQ(report.device_makespan, pin.makespan);
+    EXPECT_DOUBLE_EQ(report.gpu_seconds, pin.gpu);
+    EXPECT_DOUBLE_EQ(report.h2d_seconds, pin.h2d);
+    EXPECT_DOUBLE_EQ(report.d2h_seconds, pin.d2h);
+    EXPECT_DOUBLE_EQ(report.gpu_exposed_seconds, pin.gpu_exposed);
+    EXPECT_DOUBLE_EQ(report.h2d_exposed_seconds, pin.h2d_exposed);
+    EXPECT_DOUBLE_EQ(report.d2h_exposed_seconds, pin.d2h_exposed);
+    EXPECT_EQ(ctx.arena().peak(), pin.arena_peak);
+  }
+}
+
+TEST(FusedEmulation, KernelFaultsHitTheSamePrimitiveAtTheSameIndex) {
+  // Three batches x three trials x (transform, segmented_sort, tabulate):
+  // kernel call k must fault in the k-th primitive of that cycle, with the
+  // modeled timeline at the fault pinned from the unfused emulation.
+  const auto g = pinned_graph();
+  const HashFamily family(3, util::kMersenne61, 4, 1);
+  const char* const cycle[] = {"transform", "segmented_sort", "tabulate"};
+  const std::pair<int, double> pinned_at_fault[] = {
+      {0, 0x1.da1fc699d7d8p-14},
+      {13, 0x1.425fcbed7ec91p-11},
+      {26, 0x1.20ff7efbb3953p-10}};
+  for (int k = 0; k <= 27; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+    fault::FaultPlan plan =
+        fault::FaultPlan::parse("kernel_fail@kernel:" + std::to_string(k));
+    ctx.set_fault_plan(&plan);
+    DevicePassOptions options;
+    options.max_batch_elements = 256;
+    DevicePassStats stats;
+    std::string fault;
+    try {
+      extract_shingles_device(ctx, g.offsets(), g.adjacency(), family, 2,
+                              options, nullptr, "cpu", &stats);
+    } catch (const KernelError& e) {
+      fault = e.what();
+    }
+    if (k == 27) {
+      EXPECT_EQ(fault, "");  // the pass launches exactly 27 kernels
+      EXPECT_EQ(stats.num_batches, 3u);
+      EXPECT_EQ(plan.calls(fault::FaultSite::Kernel), 27u);
+      EXPECT_DOUBLE_EQ(ctx.makespan(), 0x1.31c3c76a8d3cbp-10);
+      continue;
+    }
+    EXPECT_EQ(fault, std::string("injected kernel fault (fault plan, ") +
+                         cycle[k % 3] + ")");
+    EXPECT_EQ(plan.calls(fault::FaultSite::Kernel), static_cast<u64>(k) + 1);
+    for (const auto& [at, makespan] : pinned_at_fault) {
+      if (at == k) {
+        EXPECT_DOUBLE_EQ(ctx.makespan(), makespan);
+      }
+    }
+    EXPECT_EQ(ctx.arena().used(), 0u);
+  }
 }
 
 }  // namespace

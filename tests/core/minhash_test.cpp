@@ -4,8 +4,15 @@
 
 #include <set>
 
+#include "util/rng.hpp"
+
 namespace gpclust::core {
 namespace {
+
+/// The generic formula the Mersenne fast path must reproduce bit for bit.
+u64 generic_affine(u64 a, u64 b, u64 p, u64 v) {
+  return (util::mulmod(a, v % p, p) + b) % p;
+}
 
 TEST(AffineHash, IsBijectiveOnSmallPrimeField) {
   const AffineHash h{.a = 3, .b = 5, .p = 17};
@@ -27,6 +34,65 @@ TEST(AffineHash, LargeModulusNoOverflow) {
   EXPECT_EQ(h(0), 12345u);
   EXPECT_EQ(h(1), 12344u);
   EXPECT_LT(h(999999999999ULL), util::kMersenne61);
+}
+
+TEST(AffineHash, MersenneFastPathMatchesGenericOnEdgeInputs) {
+  constexpr u64 p = util::kMersenne61;
+  for (u64 a : {u64{1}, p - 1}) {
+    for (u64 b : {u64{0}, p - 1}) {
+      const AffineHash h{.a = a, .b = b, .p = p};
+      for (u64 v : {u64{0}, p - 1, p, ~u64{0}}) {
+        EXPECT_EQ(h(v), generic_affine(a, b, p, v))
+            << "a=" << a << " b=" << b << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(AffineHash, MersenneFastPathMatchesGenericOnRandomInputs) {
+  constexpr u64 p = util::kMersenne61;
+  util::Xoshiro256 rng(61);
+  for (int i = 0; i < 200000; ++i) {
+    // Production coefficients (a in [1, P), b in [0, P)) and vertex ids...
+    const u64 a = 1 + rng.next_below(p - 1);
+    const u64 b = rng.next_below(p);
+    const u64 v = rng.next() >> 32;
+    EXPECT_EQ((AffineHash{.a = a, .b = b, .p = p}(v)),
+              generic_affine(a, b, p, v));
+    // ...and unreduced 64-bit values everywhere, where the generic sum
+    // mulmod(...) + b may wrap.
+    const u64 wa = rng.next(), wb = rng.next(), wv = rng.next();
+    EXPECT_EQ((AffineHash{.a = wa, .b = wb, .p = p}(wv)),
+              generic_affine(wa, wb, p, wv));
+  }
+}
+
+TEST(AffineHash, MersenneReductionHelpersMatchDivision) {
+  constexpr u64 p = util::kMersenne61;
+  util::Xoshiro256 rng(7);
+  for (u64 x : {u64{0}, p - 1, p, p + 1, 2 * p, ~u64{0}}) {
+    EXPECT_EQ(util::mod_mersenne61(x), x % p) << x;
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const u64 x = rng.next();
+    EXPECT_EQ(util::mod_mersenne61(x), x % p);
+    const u64 a = rng.next_below(p), b = rng.next_below(p);
+    EXPECT_EQ(util::mulmod_mersenne61(a, b), util::mulmod(a, b, p));
+  }
+  EXPECT_EQ(util::mulmod_mersenne61(p - 1, p - 1), 1u);  // (-1)^2
+}
+
+TEST(AffineHash, OtherPrimesTakeTheGenericPath) {
+  const u64 p = util::next_prime(u64{1} << 40);
+  ASSERT_NE(p, util::kMersenne61);
+  util::Xoshiro256 rng(40);
+  for (int i = 0; i < 50000; ++i) {
+    const u64 a = 1 + rng.next_below(p - 1);
+    const u64 b = rng.next_below(p);
+    const u64 v = rng.next();
+    EXPECT_EQ((AffineHash{.a = a, .b = b, .p = p}(v)),
+              generic_affine(a, b, p, v));
+  }
 }
 
 TEST(HashFamily, DeterministicForSeedAndLevel) {

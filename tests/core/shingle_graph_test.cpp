@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -9,6 +10,77 @@
 
 namespace gpclust::core {
 namespace {
+
+/// Heavily duplicated random tuples: shingles drawn from about n/8 hashed
+/// ids spread over the u64 range, owners from 16 ids, so most (shingle,
+/// owner) pairs repeat.
+ShingleTuples duplicated_tuples(std::size_t n, u64 seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<ShingleId> ids(std::max<std::size_t>(1, n / 8));
+  for (auto& id : ids) id = util::mix64(rng.next());
+  ShingleTuples t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.append(ids[rng.next_below(ids.size())],
+             static_cast<u32>(rng.next_below(16)));
+  }
+  return t;
+}
+
+/// The plain sort / unique / group reference aggregation.
+BipartiteShingleGraph reference_aggregate(const ShingleTuples& t) {
+  std::vector<std::pair<ShingleId, u32>> pairs;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    pairs.emplace_back(t.shingle[i], t.owner[i]);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  BipartiteShingleGraph g;
+  g.offsets.push_back(0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i > 0 && pairs[i].first != pairs[i - 1].first) {
+      g.offsets.push_back(g.members.size());
+    }
+    g.members.push_back(pairs[i].second);
+  }
+  if (!pairs.empty()) g.offsets.push_back(g.members.size());
+  return g;
+}
+
+TEST(AggregateTuples, MatchesSortUniqueGroupReferenceAcrossBucketCounts) {
+  // 0, 1, below one 64-tuple bucket, exactly one, just above, many.
+  for (std::size_t n : {0u, 1u, 10u, 64u, 65u, 1000u, 100000u}) {
+    ShingleTuples t = duplicated_tuples(n, n + 1);
+    const BipartiteShingleGraph expected = reference_aggregate(t);
+    const BipartiteShingleGraph g = aggregate_tuples(std::move(t));
+    EXPECT_EQ(g.offsets, expected.offsets) << "n=" << n;
+    EXPECT_EQ(g.members, expected.members) << "n=" << n;
+  }
+}
+
+TEST(AggregateTuples, MatchesReferenceBeyondTheBucketCap) {
+  // More than 2^16 buckets' worth of 64 tuples: the bucket count is capped
+  // and the buckets grow instead.
+  const std::size_t n = (std::size_t{1} << 16) * 64 + 4099;
+  ShingleTuples t = duplicated_tuples(n, 5);
+  const BipartiteShingleGraph expected = reference_aggregate(t);
+  const BipartiteShingleGraph g = aggregate_tuples(std::move(t));
+  EXPECT_EQ(g.offsets, expected.offsets);
+  EXPECT_EQ(g.members, expected.members);
+}
+
+TEST(AggregateTuples, SkewedShingleIdsStillGroupCorrectly) {
+  // Small ids all fall in the first bucket; correctness must not depend
+  // on the ids being spread.
+  util::Xoshiro256 rng(3);
+  ShingleTuples t;
+  for (int i = 0; i < 50000; ++i) {
+    t.append(rng.next_below(300), static_cast<u32>(rng.next_below(40)));
+  }
+  const BipartiteShingleGraph expected = reference_aggregate(t);
+  const BipartiteShingleGraph g = aggregate_tuples(std::move(t));
+  EXPECT_EQ(g.offsets, expected.offsets);
+  EXPECT_EQ(g.members, expected.members);
+}
 
 TEST(AggregateTuples, EmptyInputYieldsEmptyGraph) {
   const auto g = aggregate_tuples(ShingleTuples{});
@@ -102,6 +174,17 @@ TEST(AggregateTuplesSharded, MatchesFlatAggregationForEveryShardCount) {
     const auto sharded = aggregate_tuples_sharded(std::move(input), shards);
     EXPECT_EQ(sharded.offsets, flat.offsets) << "shards=" << shards;
     EXPECT_EQ(sharded.members, flat.members) << "shards=" << shards;
+  }
+}
+
+TEST(AggregateTuplesSharded, MatchesReferenceForEveryBucketCount) {
+  const ShingleTuples base = duplicated_tuples(40000, 9);
+  const BipartiteShingleGraph expected = reference_aggregate(base);
+  for (u32 shards : {1u, 2u, 7u, 256u, 40001u}) {
+    ShingleTuples input = base;
+    const auto g = aggregate_tuples_sharded(std::move(input), shards);
+    EXPECT_EQ(g.offsets, expected.offsets) << "shards=" << shards;
+    EXPECT_EQ(g.members, expected.members) << "shards=" << shards;
   }
 }
 

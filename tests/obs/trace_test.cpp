@@ -213,6 +213,22 @@ TEST(ChromeTrace, PipelineRunEmitsLabeledSchemaValidTrace) {
     EXPECT_TRUE(phases.contains(phase)) << "missing phase " << phase;
   }
 
+  // Trace closure for the shingling passes: besides staging and consuming,
+  // the host's emulation of the device kernels and each batch's commit are
+  // depth-0 host spans, so no pass time goes unattributed.
+  std::set<std::string> host_spans;
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.domain == Domain::HostMeasured && e.depth == 0) {
+      host_spans.insert(e.name);
+    }
+  }
+  for (const char* phase : {"pass1", "pass2"}) {
+    for (const char* step : {".stage", ".emulate", ".consume", ".commit"}) {
+      EXPECT_TRUE(host_spans.contains(std::string(phase) + step))
+          << "missing host span " << phase << step;
+    }
+  }
+
   // The pipeline counters advanced.
   EXPECT_EQ(tracer.counter("sequences"), g.num_vertices());
   for (const char* counter : {"tuples", "shingles", "batches", "h2d_bytes",

@@ -14,6 +14,9 @@ cd "$(dirname "$0")/.."
 echo "=== tier 0: docs — markdown links + CLI flag coverage ==="
 sh tools/check_docs.sh
 
+echo "=== tier 0b: perf-gate unit tests (tools/compare_bench.py) ==="
+python3 tools/test_compare_bench.py
+
 echo "=== tier 1: configure + build + ctest (preset: ci) ==="
 cmake --preset ci
 cmake --build --preset ci

@@ -67,10 +67,12 @@ def classify(path):
         return "skip"
     if leaf.endswith("_modeled_s"):
         return "modeled"
-    if leaf.endswith("_s"):
-        return "host"
+    # "_per_s" also ends in "_s": test it first, or every throughput field
+    # is gated as a duration (a gain fails and a loss passes).
     if leaf.endswith("_per_s"):
         return "throughput"
+    if leaf.endswith("_s"):
+        return "host"
     return "exact"
 
 

@@ -35,8 +35,9 @@
 //   --streams=K            device streams for the batch pipeline (default 1
 //                          = synchronous; 2 = single-lane transfer overlap;
 //                          2L = L batches in flight)
-//   --agg-shards=N         hash-prefix shards for the CPU-side tuple
-//                          aggregation (default 1 = flat gather sort)
+//   --agg-shards=N         hash-prefix buckets for the CPU-side tuple
+//                          aggregation (default 1 = derived from the
+//                          tuple count)
 //   --device-mb=N          simulated device memory (default 5120)
 //   --report               print the Table-I style component breakdown
 //   --trace-out=PATH       write a chrome://tracing JSON of the run (spans
