@@ -1,9 +1,11 @@
 #include "align/kmer_index.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <string_view>
 
-#include "seq/alphabet.hpp"
-#include "util/rng.hpp"
+#include "seq/kmer_postings.hpp"
+#include "util/group_by.hpp"
 
 namespace gpclust::align {
 
@@ -22,6 +24,11 @@ struct PairSeed {
   i32 diag;  ///< pos_in_a - pos_in_b of the seed's first occurrences
 };
 
+/// Pair-seed buckets: one per first sequence, up to this many.
+constexpr std::size_t kMaxSeedBuckets = std::size_t{1} << 16;
+/// Below this many postings per worker, emit seeds on the calling thread.
+constexpr std::size_t kMinPostingsPerWorker = std::size_t{1} << 14;
+
 }  // namespace
 
 std::vector<CandidatePair> find_candidate_pairs(
@@ -37,78 +44,77 @@ std::vector<CandidatePair> find_candidate_pairs(
     peak_bytes = std::max(peak_bytes, bytes);
   };
 
-  // Flat sort-based index — replaces a hash map of postings vectors that
-  // was the hot spot here (per-bucket allocations, rehashing, scattered
-  // access): every structure below is one contiguous array the sorts
-  // touch sequentially. First, all (k-mer, sequence) occurrences, made
-  // distinct per sequence in place (sort the sequence's subrange by
-  // (code, pos), keep each code's first occurrence).
-  std::vector<KmerPosting> postings;
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    const std::string& r = sequences[i].residues;
-    if (r.size() < config.k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(postings.size());
-    for (std::size_t pos = 0; pos + config.k <= r.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < config.k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
-      }
-      postings.push_back({code, static_cast<u32>(i), static_cast<u32>(pos)});
-    }
-    std::sort(postings.begin() + start, postings.end(),
-              [](const KmerPosting& x, const KmerPosting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    postings.erase(std::unique(postings.begin() + start, postings.end(),
-                               [](const KmerPosting& x, const KmerPosting& y) {
-                                 return x.code == y.code;
-                               }),
-                   postings.end());
-  }
+  // Flat sort-based index: every structure below is one contiguous array
+  // built by a parallel bucketed group-by (DESIGN.md §8). First, every
+  // sequence's distinct k-mers at their first occurrence, grouped by
+  // (code, seq) — seq ascending within a code run keeps pair keys
+  // (a << 32 | b) ordered.
+  std::unique_ptr<KmerPosting[]> postings;
+  std::size_t num_postings = 0;
+  const std::vector<std::size_t> code_buckets =
+      seq::group_kmer_postings<KmerPosting>(
+          sequences.size(), config.k,
+          [&](std::size_t i) { return std::string_view(sequences[i].residues); },
+          [&](std::size_t total) {
+            num_postings = total;
+            postings = std::make_unique_for_overwrite<KmerPosting[]>(total);
+            return postings.get();
+          });
+  note_peak(num_postings * sizeof(KmerPosting));
 
-  note_peak(postings.size() * sizeof(KmerPosting));
-
-  // Group occurrences by k-mer: one global sort by (code, seq) — seq
-  // ascending within a code run keeps pair keys (a << 32 | b) ordered.
-  std::sort(postings.begin(), postings.end(),
-            [](const KmerPosting& x, const KmerPosting& y) {
-              return std::pair(x.code, x.seq) < std::pair(y.code, y.seq);
-            });
-
-  // Emit one flat (pair-key, diagonal) record per shared seed.
-  std::vector<PairSeed> seeds;
-  for (std::size_t lo = 0; lo < postings.size();) {
-    std::size_t hi = lo;
-    while (hi < postings.size() && postings[hi].code == postings[lo].code) {
-      ++hi;
-    }
-    const std::size_t occurrences = hi - lo;
-    if (occurrences >= 2 && occurrences <= config.max_kmer_occurrences) {
-      for (std::size_t x = lo; x < hi; ++x) {
-        for (std::size_t y = x + 1; y < hi; ++y) {
-          seeds.push_back(
-              {(static_cast<u64>(postings[x].seq) << 32) | postings[y].seq,
-               static_cast<i32>(postings[x].pos) -
-                   static_cast<i32>(postings[y].pos)});
+  // Emit one flat (pair-key, diagonal) record per shared seed, code run by
+  // code run within each code bucket, grouped by (key, diag) in buckets of
+  // the pair's first sequence — monotone in the key, so the buckets
+  // concatenate to the globally sorted seed order.
+  const std::size_t num_seqs = std::max<std::size_t>(1, sequences.size());
+  const std::size_t seed_buckets = std::min(num_seqs, kMaxSeedBuckets);
+  std::unique_ptr<PairSeed[]> seeds;
+  std::size_t num_seeds = 0;
+  util::bucketed_group_by<PairSeed>(
+      code_buckets.size() - 1,
+      util::group_by_workers(num_postings, kMinPostingsPerWorker),
+      seed_buckets,
+      [&](std::size_t, std::size_t bucket, auto&& emit) {
+        const std::size_t end = code_buckets[bucket + 1];
+        for (std::size_t lo = code_buckets[bucket]; lo < end;) {
+          std::size_t hi = lo;
+          while (hi < end && postings[hi].code == postings[lo].code) ++hi;
+          const std::size_t occurrences = hi - lo;
+          if (occurrences >= 2 &&
+              occurrences <= config.max_kmer_occurrences) {
+            for (std::size_t x = lo; x < hi; ++x) {
+              for (std::size_t y = x + 1; y < hi; ++y) {
+                emit(PairSeed{
+                    (static_cast<u64>(postings[x].seq) << 32) | postings[y].seq,
+                    static_cast<i32>(postings[x].pos) -
+                        static_cast<i32>(postings[y].pos)});
+              }
+            }
+          }
+          lo = hi;
         }
-      }
-    }
-    lo = hi;
-  }
-  std::sort(seeds.begin(), seeds.end(),
-            [](const PairSeed& x, const PairSeed& y) {
-              return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
-            });
-  note_peak(postings.size() * sizeof(KmerPosting) +
-            seeds.size() * sizeof(PairSeed));
+      },
+      [&](const PairSeed& s) {
+        return static_cast<std::size_t>((s.key >> 32) * seed_buckets / num_seqs);
+      },
+      [&](std::size_t total) {
+        num_seeds = total;
+        seeds = std::make_unique_for_overwrite<PairSeed[]>(total);
+        return seeds.get();
+      },
+      [](const PairSeed& x, const PairSeed& y) {
+        return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
+      });
+  note_peak(num_postings * sizeof(KmerPosting) +
+            num_seeds * sizeof(PairSeed));
 
   // Scan runs of equal key: run length = shared-seed count; the pair's
   // representative diagonal is the mode (smallest diagonal on ties, which
   // the ascending sort yields for free).
   std::vector<CandidatePair> pairs;
-  for (std::size_t lo = 0; lo < seeds.size();) {
+  for (std::size_t lo = 0; lo < num_seeds;) {
     std::size_t hi = lo;
-    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
+    while (hi < num_seeds && seeds[hi].key == seeds[lo].key) ++hi;
     const u32 count = static_cast<u32>(hi - lo);
     if (count >= config.min_shared_kmers) {
       i32 mode_diag = seeds[lo].diag;
@@ -129,8 +135,8 @@ std::vector<CandidatePair> find_candidate_pairs(
     lo = hi;
   }
   // seeds are sorted by key, so `pairs` is already (a, b)-ordered.
-  note_peak(postings.size() * sizeof(KmerPosting) +
-            seeds.size() * sizeof(PairSeed) +
+  note_peak(num_postings * sizeof(KmerPosting) +
+            num_seeds * sizeof(PairSeed) +
             pairs.size() * sizeof(CandidatePair));
   if (peak_candidate_bytes != nullptr) *peak_candidate_bytes = peak_bytes;
   return pairs;

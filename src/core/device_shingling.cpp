@@ -54,6 +54,10 @@ struct PendingList {
 
 using PendingMap = std::unordered_map<u32, PendingList>;
 
+/// Below this many segments a batch's trial is consumed on the calling
+/// thread: the pool dispatch would cost more than the hashing it splits.
+constexpr std::size_t kMinParallelConsumeSegments = 4096;
+
 /// A batch's uncommitted side effects. Batches are transactional under
 /// resilience: all tuple appends and split-list merges land here first and
 /// are applied to the committed state only after every device op of the
@@ -80,17 +84,18 @@ void commit_effects(BatchEffects&& fx, ShingleTuples& tuples,
 }
 
 /// Shared consume step (identical for the device and CPU-fallback paths):
-/// fold one segment's per-trial minima into the overlay, emitting a tuple
-/// when the segment completes its list for this trial.
-void consume_segment_minima(u32 list_id, bool starts, bool ends, u32 trial,
-                            u32 num_trials, u32 s,
-                            std::span<const u64> seg_minima,
-                            const PendingMap& committed, BatchEffects& fx) {
+/// fold one segment's per-trial minima into the overlay. Returns the
+/// tuple's shingle id when the segment completes its list for this trial,
+/// kNoValue otherwise.
+ShingleId consume_segment_minima(u32 list_id, bool starts, bool ends,
+                                 u32 trial, u32 num_trials, u32 s,
+                                 std::span<const u64> seg_minima,
+                                 const PendingMap& committed,
+                                 BatchEffects& fx) {
   if (starts && ends) {
     const ShingleId id = hash_shingle(trial, seg_minima);
     GPCLUST_CHECK(id != kNoValue, "complete list shorter than s");
-    fx.tuples.append(id, list_id);
-    return;
+    return id;
   }
   // Piece of a split list: accumulate across batches (via the overlay).
   auto it = fx.updated.find(list_id);
@@ -106,15 +111,14 @@ void consume_segment_minima(u32 list_id, bool starts, bool ends, u32 trial,
   }
   std::span<u64> acc{it->second.minima.data() + std::size_t{trial} * s, s};
   merge_minima(acc, seg_minima);
-  if (ends) {
-    const ShingleId id = hash_shingle(trial, acc);
-    GPCLUST_CHECK(id != kNoValue, "split list shorter than s");
-    fx.tuples.append(id, list_id);
-    if (trial + 1 == num_trials) {
-      fx.updated.erase(it);
-      fx.erased.push_back(list_id);
-    }
+  if (!ends) return kNoValue;
+  const ShingleId id = hash_shingle(trial, acc);
+  GPCLUST_CHECK(id != kNoValue, "split list shorter than s");
+  if (trial + 1 == num_trials) {
+    fx.updated.erase(it);
+    fx.erased.push_back(list_id);
   }
+  return id;
 }
 
 /// Runs one batch on the device (Algorithm 1 over the batch's segments ×
@@ -143,12 +147,24 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   const u32 c = family.size();
   const std::size_t nsegs = batch.num_segments();
   const std::size_t nelems = batch.num_elements();
-  // Every segment that ends its list emits one tuple per trial.
-  const std::size_t list_ends = static_cast<std::size_t>(
-      std::count_if(batch.seg_ends_list.begin(), batch.seg_ends_list.end(),
-                    [](u8 ends) { return ends != 0; }));
-  fx.tuples.shingle.reserve(list_ends * c);
-  fx.tuples.owner.reserve(list_ends * c);
+  // Every segment that ends its list emits one tuple per trial: trial j's
+  // tuple of the segment ranked r among them goes to slot j * list_ends +
+  // r — the order a serial trial-by-trial, segment-by-segment append
+  // produces — so complete segments can be consumed in parallel. Split
+  // pieces merge serially through the overlay.
+  std::vector<std::size_t> end_rank(nsegs);
+  std::vector<u32> split_segs;
+  std::size_t list_ends = 0;
+  for (std::size_t seg = 0; seg < nsegs; ++seg) {
+    end_rank[seg] = list_ends;
+    if (batch.seg_ends_list[seg] != 0) ++list_ends;
+    if (batch.seg_starts_list[seg] == 0 || batch.seg_ends_list[seg] == 0) {
+      split_segs.push_back(static_cast<u32>(seg));
+    }
+  }
+  fx.tuples.shingle.resize(list_ends * c);
+  fx.tuples.owner.resize(list_ends * c);
+  const bool parallel_consume = nsegs >= kMinParallelConsumeSegments;
 
   {  // CPU aggregates the batch for the device (Figure 3, step 1).
     util::ScopedTimer t(reg, cpu_metric);
@@ -215,11 +231,34 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
     // lists into tuples (Figure 3, step 2 + the split-list merge).
     util::ScopedTimer t(reg, cpu_metric);
     obs::HostSpan span(tracer, trace_phase + ".consume");
-    for (std::size_t seg = 0; seg < nsegs; ++seg) {
-      consume_segment_minima(
+    ShingleId* shingles = fx.tuples.shingle.data() + j * list_ends;
+    u32* owners = fx.tuples.owner.data() + j * list_ends;
+    const auto consume_complete = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t seg = lo; seg < hi; ++seg) {
+        if (batch.seg_starts_list[seg] == 0 || batch.seg_ends_list[seg] == 0) {
+          continue;
+        }
+        shingles[end_rank[seg]] =
+            consume_segment_minima(batch.seg_list_ids[seg], true, true, j, c,
+                                   s, {host_minima.data() + seg * s, s},
+                                   committed, fx);
+        owners[end_rank[seg]] = batch.seg_list_ids[seg];
+      }
+    };
+    if (parallel_consume) {
+      ctx.pool().parallel_for(0, nsegs, consume_complete);
+    } else {
+      consume_complete(0, nsegs);
+    }
+    for (const u32 seg : split_segs) {
+      const ShingleId id = consume_segment_minima(
           batch.seg_list_ids[seg], batch.seg_starts_list[seg] != 0,
           batch.seg_ends_list[seg] != 0, j, c, s,
           {host_minima.data() + seg * s, s}, committed, fx);
+      if (batch.seg_ends_list[seg] != 0) {
+        shingles[end_rank[seg]] = id;
+        owners[end_rank[seg]] = batch.seg_list_ids[seg];
+      }
     }
   }
   return fx;
@@ -241,9 +280,10 @@ void process_pieces_cpu(std::span<const ListPiece> pieces,
       min_s_images({members.data() + piece.global_begin,
                     static_cast<std::size_t>(piece.length)},
                    family[j], s, {minima.data(), s});
-      consume_segment_minima(piece.list_id, piece.starts_list,
-                             piece.ends_list, j, c, s, {minima.data(), s},
-                             pending, fx);
+      const ShingleId id = consume_segment_minima(
+          piece.list_id, piece.starts_list, piece.ends_list, j, c, s,
+          {minima.data(), s}, pending, fx);
+      if (piece.ends_list) fx.tuples.append(id, piece.list_id);
     }
   }
   commit_effects(std::move(fx), tuples, pending);

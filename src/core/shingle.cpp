@@ -9,6 +9,22 @@ namespace gpclust::core {
 void min_s_images(std::span<const VertexId> gamma, const AffineHash& h, u32 s,
                   std::span<u64> out) {
   GPCLUST_CHECK(out.size() >= s, "output span too small");
+  if (s == 2) {
+    // The production shingle size: both minima live in registers and every
+    // image passes through one compare-exchange network (conditional moves)
+    // instead of the insertion scan's data-dependent branches, which a
+    // random permutation makes mispredict early in every list.
+    u64 lo = kNoValue;
+    u64 hi = kNoValue;
+    for (VertexId v : gamma) {
+      const u64 value = h(v);
+      hi = std::min(hi, std::max(lo, value));
+      lo = std::min(lo, value);
+    }
+    out[0] = lo;
+    out[1] = hi;
+    return;
+  }
   std::fill(out.begin(), out.begin() + s, kNoValue);
   for (VertexId v : gamma) {
     u64 value = h(v);

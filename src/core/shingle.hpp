@@ -23,7 +23,8 @@ inline constexpr u64 kNoValue = ~0ULL;
 /// ascending, padding with kNoValue when gamma.size() < s. Uses the
 /// paper's s-sized insertion sort ("the small values of s expected to be
 /// used in practice, typically under 10, justify a simple insertion
-/// sort-based approach").
+/// sort-based approach"); for s = 2 the two minima are kept in registers
+/// and updated by a branch-free compare-exchange instead.
 void min_s_images(std::span<const VertexId> gamma, const AffineHash& h, u32 s,
                   std::span<u64> out);
 

@@ -37,10 +37,12 @@ class SketchHashes {
 
   u64 size() const { return static_cast<u64>(a_.size()); }
 
+  /// (A_j * (code mod P) + B_j) mod P by Mersenne folding — equal to
+  /// (mulmod(A_j, code % P, P) + B_j) % P without a division: A_j, B_j and
+  /// the product are all below P, so their sum is below 2P.
   u64 apply(std::size_t j, u64 code) const {
-    return (util::mulmod(a_[j], code % util::kMersenne61, util::kMersenne61) +
-            b_[j]) %
-           util::kMersenne61;
+    return util::mod_mersenne61(
+        util::mulmod_mersenne61(a_[j], util::mod_mersenne61(code)) + b_[j]);
   }
 
   /// Fills `out` (size() slots) with the min-hash sketch of `codes`;

@@ -3,7 +3,17 @@
 #include <span>
 #include <vector>
 
+#include "util/group_by.hpp"
+
 namespace gpclust::store {
+
+namespace {
+
+/// Below this many (code, hash) evaluations per worker, sketch on the
+/// calling thread.
+constexpr std::size_t kMinHashesPerWorker = std::size_t{1} << 16;
+
+}  // namespace
 
 void build_rep_signatures(FamilyStore& store) {
   GPCLUST_CHECK(store.sig_num_hashes >= 1,
@@ -24,12 +34,20 @@ void build_rep_signatures(FamilyStore& store) {
     std::vector<u64> cursor(counts.begin(), counts.end() - 1);
     for (const RepPosting& p : store.postings) codes[cursor[p.rep]++] = p.code;
   }
-  for (std::size_t r = 0; r < num_reps; ++r) {
-    hashes.sketch(
-        std::span<const u64>(codes).subspan(counts[r], counts[r + 1] - counts[r]),
-        std::span<u64>(store.signatures)
-            .subspan(r * store.sig_num_hashes, store.sig_num_hashes));
-  }
+  // Every representative's sketch is independent: split them across the
+  // default pool once there is enough hashing to amortize the dispatch.
+  util::for_ranges(
+      util::group_by_workers(codes.size() * store.sig_num_hashes,
+                             kMinHashesPerWorker),
+      num_reps, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          hashes.sketch(std::span<const u64>(codes).subspan(
+                            counts[r], counts[r + 1] - counts[r]),
+                        std::span<u64>(store.signatures)
+                            .subspan(r * store.sig_num_hashes,
+                                     store.sig_num_hashes));
+        }
+      });
 }
 
 }  // namespace gpclust::store

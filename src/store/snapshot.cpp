@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "seq/alphabet.hpp"
+#include "seq/kmer_postings.hpp"
 #include "store/signature.hpp"
 #include "util/crc32.hpp"
 #include "util/prime.hpp"
@@ -171,39 +171,19 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
 }
 
 void rebuild_rep_postings(FamilyStore& store) {
-  // Family-level k-mer postings over the representatives — the sort-based
-  // layout of align/kmer_index: emit every occurrence, sort per rep by
-  // (code, pos), keep each code's first occurrence, then one global sort
-  // by (code, rep).
-  const std::size_t k = store.kmer_k;
+  // Family-level k-mer postings over the representatives: the same
+  // (code, id)-grouped first-occurrence postings align/kmer_index seeds
+  // from, with representative indices as ids.
   store.postings.clear();
-  for (std::size_t r = 0; r < store.representatives.size(); ++r) {
-    const std::string_view residues = store.sequence(store.representatives[r]);
-    if (residues.size() < k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(store.postings.size());
-    for (std::size_t pos = 0; pos + k <= residues.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(residues[pos + j]);
-      }
-      store.postings.push_back(
-          {code, static_cast<u32>(r), static_cast<u32>(pos)});
-    }
-    std::sort(store.postings.begin() + start, store.postings.end(),
-              [](const RepPosting& x, const RepPosting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    store.postings.erase(
-        std::unique(store.postings.begin() + start, store.postings.end(),
-                    [](const RepPosting& x, const RepPosting& y) {
-                      return x.code == y.code;
-                    }),
-        store.postings.end());
-  }
-  std::sort(store.postings.begin(), store.postings.end(),
-            [](const RepPosting& x, const RepPosting& y) {
-              return std::pair(x.code, x.rep) < std::pair(y.code, y.rep);
-            });
+  seq::group_kmer_postings<RepPosting>(
+      store.representatives.size(), store.kmer_k,
+      [&store](std::size_t r) {
+        return store.sequence(store.representatives[r]);
+      },
+      [&store](std::size_t total) {
+        store.postings.resize(total);
+        return store.postings.data();
+      });
 }
 
 std::vector<char> serialize_snapshot(const FamilyStore& store) {

@@ -22,6 +22,126 @@ seq::SequenceSet make_set(std::vector<std::string> residues) {
   return set;
 }
 
+/// Test-only copy of the serial find_candidate_pairs the bucketed
+/// group-by replaced: per-sequence sort + dedup, one global sort of the
+/// postings, serial seed emission and one global sort of the seeds. The
+/// production path must match it pair for pair and in peak bytes.
+std::vector<CandidatePair> serial_reference_pairs(
+    const seq::SequenceSet& sequences, const KmerIndexConfig& config,
+    std::size_t* peak_candidate_bytes) {
+  struct Posting {
+    u64 code;
+    u32 seq;
+    u32 pos;
+  };
+  struct Seed {
+    u64 key;
+    i32 diag;
+  };
+  std::size_t peak_bytes = 0;
+  std::vector<Posting> postings;
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    const std::string& r = sequences[i].residues;
+    if (r.size() < config.k) continue;
+    const auto start = static_cast<std::ptrdiff_t>(postings.size());
+    for (std::size_t pos = 0; pos + config.k <= r.size(); ++pos) {
+      u64 code = 0;
+      for (std::size_t j = 0; j < config.k; ++j) {
+        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
+      }
+      postings.push_back({code, static_cast<u32>(i), static_cast<u32>(pos)});
+    }
+    std::sort(postings.begin() + start, postings.end(),
+              [](const Posting& x, const Posting& y) {
+                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
+              });
+    postings.erase(std::unique(postings.begin() + start, postings.end(),
+                               [](const Posting& x, const Posting& y) {
+                                 return x.code == y.code;
+                               }),
+                   postings.end());
+  }
+  peak_bytes = std::max(peak_bytes, postings.size() * sizeof(Posting));
+  std::sort(postings.begin(), postings.end(),
+            [](const Posting& x, const Posting& y) {
+              return std::pair(x.code, x.seq) < std::pair(y.code, y.seq);
+            });
+  std::vector<Seed> seeds;
+  for (std::size_t lo = 0; lo < postings.size();) {
+    std::size_t hi = lo;
+    while (hi < postings.size() && postings[hi].code == postings[lo].code) {
+      ++hi;
+    }
+    const std::size_t occurrences = hi - lo;
+    if (occurrences >= 2 && occurrences <= config.max_kmer_occurrences) {
+      for (std::size_t x = lo; x < hi; ++x) {
+        for (std::size_t y = x + 1; y < hi; ++y) {
+          seeds.push_back(
+              {(static_cast<u64>(postings[x].seq) << 32) | postings[y].seq,
+               static_cast<i32>(postings[x].pos) -
+                   static_cast<i32>(postings[y].pos)});
+        }
+      }
+    }
+    lo = hi;
+  }
+  std::sort(seeds.begin(), seeds.end(), [](const Seed& x, const Seed& y) {
+    return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
+  });
+  peak_bytes = std::max(peak_bytes, postings.size() * sizeof(Posting) +
+                                        seeds.size() * sizeof(Seed));
+  std::vector<CandidatePair> pairs;
+  for (std::size_t lo = 0; lo < seeds.size();) {
+    std::size_t hi = lo;
+    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
+    const u32 count = static_cast<u32>(hi - lo);
+    if (count >= config.min_shared_kmers) {
+      i32 mode_diag = seeds[lo].diag;
+      std::size_t mode_len = 0;
+      for (std::size_t i = lo; i < hi;) {
+        std::size_t j = i;
+        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
+        if (j - i > mode_len) {
+          mode_len = j - i;
+          mode_diag = seeds[i].diag;
+        }
+        i = j;
+      }
+      pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
+                       static_cast<u32>(seeds[lo].key & 0xffffffffu), count,
+                       mode_diag});
+    }
+    lo = hi;
+  }
+  peak_bytes = std::max(peak_bytes, postings.size() * sizeof(Posting) +
+                                        seeds.size() * sizeof(Seed) +
+                                        pairs.size() * sizeof(CandidatePair));
+  *peak_candidate_bytes = peak_bytes;
+  return pairs;
+}
+
+/// Random residues over the first `alphabet` letters, with a planted
+/// motif in every `motif_every`-th sequence so pairs share seeds.
+seq::SequenceSet random_set(util::Xoshiro256& rng, std::size_t count,
+                            std::size_t min_len, std::size_t max_len,
+                            std::size_t alphabet, std::size_t motif_every) {
+  std::string motif;
+  for (int i = 0; i < 16; ++i) {
+    motif += seq::kResidues[rng.next_below(seq::kNumStandardResidues)];
+  }
+  std::vector<std::string> residues;
+  for (std::size_t s = 0; s < count; ++s) {
+    std::string r;
+    const std::size_t len = min_len + rng.next_below(max_len - min_len + 1);
+    for (std::size_t i = 0; i < len; ++i) {
+      r += seq::kResidues[rng.next_below(alphabet)];
+    }
+    if (s % motif_every == 0) r.insert(rng.next_below(r.size() + 1), motif);
+    residues.push_back(std::move(r));
+  }
+  return make_set(std::move(residues));
+}
+
 TEST(KmerIndex, FindsSharedKmerPair) {
   // Two sequences sharing a 12-residue block -> many shared 5-mers.
   const auto set = make_set({"AAAAAWWHHKKFFRRAAAAA",
@@ -198,6 +318,68 @@ TEST(KmerIndex, SeedDiagonalIsTheModeOverSharedSeeds) {
   const auto pairs = find_candidate_pairs(set, cfg);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].diag, 0);
+}
+
+TEST(KmerIndex, BucketedGroupByMatchesSerialReference) {
+  // Small sets run every phase on the calling thread; the large ones have
+  // enough k-mer windows to split across the pool. k spans the code range
+  // (24^2 .. 24^12), and the occurrence cap sits on both sides of real
+  // run lengths.
+  util::Xoshiro256 rng(29);
+  struct Case {
+    std::size_t count, min_len, max_len, alphabet, motif_every;
+  };
+  const Case cases[] = {{2, 1, 8, 4, 1},       {40, 1, 30, 6, 2},
+                        {300, 0, 400, 24, 3},  {600, 100, 300, 5, 4},
+                        {1500, 50, 150, 20, 2}};
+  for (const Case& c : cases) {
+    const auto set =
+        random_set(rng, c.count, c.min_len, c.max_len, c.alphabet,
+                   c.motif_every);
+    for (std::size_t k : {2u, 5u, 12u}) {
+      for (std::size_t cap : {2u, 7u, 200u}) {
+        KmerIndexConfig cfg;
+        cfg.k = k;
+        cfg.min_shared_kmers = 1 + rng.next_below(2);
+        cfg.max_kmer_occurrences = cap;
+        std::size_t peak = 0;
+        std::size_t expected_peak = 0;
+        const auto pairs = find_candidate_pairs(set, cfg, &peak);
+        const auto expected = serial_reference_pairs(set, cfg, &expected_peak);
+        SCOPED_TRACE("count=" + std::to_string(c.count) +
+                     " k=" + std::to_string(k) + " cap=" + std::to_string(cap));
+        EXPECT_EQ(pairs, expected);
+        EXPECT_EQ(peak, expected_peak);
+      }
+    }
+  }
+}
+
+TEST(KmerIndex, OccurrenceCapBoundaryIsInclusive) {
+  // Only "WWHHK" is shared (every flank letter is distinct per sequence):
+  // in exactly `cap` sequences it promotes every pair, in cap + 1 none.
+  const std::size_t cap = 5;
+  const std::string left = "ARNDCQ";
+  const std::string right = "EGILMF";
+  std::vector<std::string> residues;
+  for (std::size_t i = 0; i <= cap; ++i) {
+    residues.push_back(std::string(5, left[i]) + "WWHHK" +
+                       std::string(5, right[i]));
+  }
+  KmerIndexConfig cfg;
+  cfg.k = 5;
+  cfg.min_shared_kmers = 1;
+  cfg.max_kmer_occurrences = cap;
+  for (std::size_t count : {cap, cap + 1}) {
+    const auto set = make_set(
+        std::vector<std::string>(residues.begin(), residues.begin() + count));
+    std::size_t peak = 0;
+    std::size_t expected_peak = 0;
+    const auto pairs = find_candidate_pairs(set, cfg, &peak);
+    EXPECT_EQ(pairs.size(), count == cap ? cap * (cap - 1) / 2 : 0u);
+    EXPECT_EQ(pairs, serial_reference_pairs(set, cfg, &expected_peak));
+    EXPECT_EQ(peak, expected_peak);
+  }
 }
 
 TEST(KmerIndex, Validation) {

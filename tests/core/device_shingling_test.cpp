@@ -151,6 +151,134 @@ TEST(FusedEmulation, TuplesMatchSerialAcrossSplittingBatchSizes) {
   }
 }
 
+/// Checks the pass's tuples element by element against a serial consume:
+/// batch by batch, trial-major within a batch, lists ascending within a
+/// trial, each tuple carrying the shingle a serial scan of its whole list
+/// hashes (extract_shingles_serial, which is one such batch over every
+/// list). The batch partition is read off the owners — a batch's lists
+/// form one strictly ascending run per trial — and must cover every list
+/// with at least s members exactly once, in ascending order.
+void expect_serial_consume_order(const ShingleTuples& tuples,
+                                 const graph::CsrGraph& g,
+                                 const HashFamily& family, u32 s) {
+  const auto serial =
+      extract_shingles_serial(g.offsets(), g.adjacency(), family, s);
+  const std::size_t c = family.size();
+  ASSERT_EQ(tuples.size(), serial.size());
+  ASSERT_EQ(serial.size() % c, 0u);
+  const std::size_t lists = serial.size() / c;
+  std::vector<std::size_t> rank_of(g.num_vertices(), lists);
+  for (std::size_t r = 0; r < lists; ++r) rank_of[serial.owner[r]] = r;
+
+  std::size_t pos = 0;
+  std::size_t next_rank = 0;
+  while (pos < tuples.size()) {
+    std::size_t m = 1;
+    while (pos + m < tuples.size() &&
+           tuples.owner[pos + m] > tuples.owner[pos + m - 1]) {
+      ++m;
+    }
+    if (c > 1) {
+      ASSERT_LE(pos + m * c, tuples.size());
+    } else {
+      m = tuples.size() - pos;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const u32 list = tuples.owner[pos + i];
+      ASSERT_EQ(rank_of[list], next_rank + i) << "list " << list;
+      for (std::size_t j = 0; j < c; ++j) {
+        const std::size_t at = pos + j * m + i;
+        ASSERT_EQ(tuples.owner[at], list) << "tuple " << at;
+        ASSERT_EQ(tuples.shingle[at], serial.shingle[j * lists + rank_of[list]])
+            << "tuple " << at;
+      }
+    }
+    pos += m * c;
+    next_rank += m;
+  }
+  EXPECT_EQ(next_rank, lists);
+}
+
+TEST(ParallelConsume, TuplesMatchSerialConsumeElementByElement) {
+  // The large graph puts over 4096 segments in a batch (parallel consume);
+  // the small one splits lists across many batches (serial overlay merge).
+  const auto large = graph::generate_erdos_renyi(6000, 0.0015, 12);
+  const auto small = graph::generate_erdos_renyi(300, 0.05, 13);
+  const HashFamily family(6, util::kMersenne61, 21, 1);
+  const std::pair<const graph::CsrGraph*, std::size_t> runs[] = {
+      {&large, 0}, {&large, 40000}, {&large, 997},
+      {&small, 3}, {&small, 7},     {&small, 64}};
+  for (const auto& [g, batch] : runs) {
+    for (u32 s : {1u, 2u, 3u}) {
+      SCOPED_TRACE("n=" + std::to_string(g->num_vertices()) +
+                   " batch=" + std::to_string(batch) +
+                   " s=" + std::to_string(s));
+      device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
+      DevicePassOptions options;
+      options.max_batch_elements = batch;
+      DevicePassStats stats;
+      const auto tuples =
+          extract_shingles_device(ctx, g->offsets(), g->adjacency(), family,
+                                  s, options, nullptr, "cpu", &stats);
+      expect_serial_consume_order(tuples, *g, family, s);
+      if (batch == 3) {
+        EXPECT_GT(stats.num_split_lists, 0u);
+      }
+      EXPECT_EQ(ctx.arena().used(), 0u);
+    }
+  }
+}
+
+TEST(ParallelConsume, FaultedBatchesLeaveNoSlotsBehind) {
+  // Faulted batches are discarded with their pre-sized tuple slots; the
+  // retried, replanned or CPU-fallback pass must still produce exactly the
+  // serial consume order.
+  const auto large = graph::generate_erdos_renyi(6000, 0.0015, 12);
+  const auto small = graph::generate_erdos_renyi(300, 0.05, 13);
+  const HashFamily family(6, util::kMersenne61, 21, 1);
+  struct Case {
+    const graph::CsrGraph* g;
+    std::size_t batch;
+    std::string plan;
+    fault::ResilienceMode mode;
+  };
+  using fault::ResilienceMode;
+  const Case cases[] = {
+      {&large, 40000, "kernel_fail@kernel:0", ResilienceMode::Retry},
+      {&large, 40000, "kernel_fail@kernel:17", ResilienceMode::Retry},
+      {&large, 40000, "kernel_fail@kernel:20,xfer_fail@d2h:9",
+       ResilienceMode::Retry},
+      {&large, 40000, "oom@alloc:3", ResilienceMode::Retry},
+      {&large, 40000, "oom@alloc:6", ResilienceMode::Fallback},
+      {&large, 40000, "oom@alloc:2-999999", ResilienceMode::Fallback},
+      {&large, 40000, "kernel_fail@kernel:19-999999", ResilienceMode::Fallback},
+      {&small, 7, "kernel_fail@kernel:40", ResilienceMode::Retry},
+      {&small, 7, "oom@alloc:12", ResilienceMode::Retry},
+      {&small, 7, "kernel_fail@kernel:50-999999", ResilienceMode::Fallback},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.g->num_vertices()) + " plan=" + c.plan);
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
+    fault::FaultPlan plan = fault::FaultPlan::parse(c.plan);
+    ctx.set_fault_plan(&plan);
+    DevicePassOptions options;
+    options.max_batch_elements = c.batch;
+    options.resilience.mode = c.mode;
+    DevicePassStats stats;
+    const auto tuples =
+        extract_shingles_device(ctx, c.g->offsets(), c.g->adjacency(), family,
+                                2, options, nullptr, "cpu", &stats);
+    expect_serial_consume_order(tuples, *c.g, family, 2);
+    EXPECT_GT(stats.num_retries + stats.num_batch_replans +
+                  (stats.cpu_fallback ? 1 : 0),
+              0u);
+    if (c.plan.find("999999") != std::string::npos) {
+      EXPECT_TRUE(stats.cpu_fallback);
+    }
+    EXPECT_EQ(ctx.arena().used(), 0u);
+  }
+}
+
 graph::CsrGraph pinned_graph() {
   graph::PlantedFamilyConfig cfg;
   cfg.num_families = 8;

@@ -56,6 +56,38 @@ TEST(MinSImages, MatchesFullSortReference) {
   }
 }
 
+TEST(MinSImages, EveryScanMatchesFullSortAndHeapWithDuplicates) {
+  // s = 2 takes the branch-free compare-exchange scan, the other sizes the
+  // insertion scan; both must equal a full sort of the images and the heap
+  // variant — with duplicate members (equal images kept with their
+  // multiplicity), lists shorter than s, the default Mersenne modulus and
+  // a generic one.
+  util::Xoshiro256 rng(41);
+  const AffineHash hashes[] = {
+      {.a = 987654321, .b = 123456789, .p = util::kMersenne61},
+      {.a = 3, .b = 1, .p = 1000003}};
+  for (const AffineHash& h : hashes) {
+    for (u32 s : {1u, 2u, 3u, 8u}) {
+      for (int iter = 0; iter < 200; ++iter) {
+        std::vector<VertexId> gamma(rng.next_below(3 * s + 2));
+        for (auto& v : gamma) {
+          v = static_cast<VertexId>(rng.next_below(iter % 2 ? 4 : 1 << 20));
+        }
+        std::vector<u64> scan(s), heap(s);
+        min_s_images(gamma, h, s, scan);
+        min_s_images_heap(gamma, h, s, heap);
+
+        std::vector<u64> reference;
+        for (VertexId v : gamma) reference.push_back(h(v));
+        std::sort(reference.begin(), reference.end());
+        reference.resize(s, kNoValue);
+        EXPECT_EQ(scan, reference) << "s=" << s << " size=" << gamma.size();
+        EXPECT_EQ(heap, reference) << "s=" << s << " size=" << gamma.size();
+      }
+    }
+  }
+}
+
 TEST(MinSImages, OrderOfInputIrrelevant) {
   std::vector<VertexId> gamma = {10, 20, 30, 40, 50};
   std::vector<u64> a(2), b(2);

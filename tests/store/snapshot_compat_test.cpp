@@ -22,6 +22,7 @@
 #include "serve/bucket_index.hpp"
 #include "serve/family_index.hpp"
 #include "store/snapshot.hpp"
+#include "util/crc32.hpp"
 
 namespace gpclust::store {
 namespace {
@@ -69,6 +70,18 @@ TEST(SnapshotCompat, V1MigratesToTheCurrentFormatByteIdentically) {
   EXPECT_EQ(upgraded, serialize_snapshot(fresh_build()));
   // And the upgraded bytes are a stable fixed point of the current format.
   EXPECT_EQ(serialize_snapshot(deserialize_snapshot(upgraded)), upgraded);
+}
+
+TEST(SnapshotCompat, V1MigrationBytesArePinned) {
+  // The migration reconstructs the signature block on load, so the two
+  // tests above compare the current sketch kernel against itself. The
+  // upgraded bytes recorded from the division-based kernel (generic
+  // mulmod plus 64-bit %) pin the sketch derivation itself: any change to
+  // SketchHashes::apply that moves a signature shows up here.
+  const std::vector<char> upgraded =
+      serialize_snapshot(load_snapshot(fixture_path()));
+  EXPECT_EQ(upgraded.size(), 39784u);
+  EXPECT_EQ(util::crc32(upgraded.data(), upgraded.size()), 0x9c47a912u);
 }
 
 TEST(SnapshotCompat, V1FixtureServesIdenticallyToAFreshBuild) {

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
+#include <vector>
 
+#include "seq/alphabet.hpp"
 #include "seq/family_model.hpp"
 #include "store/snapshot.hpp"
 
@@ -75,6 +79,69 @@ TEST(StoreBuild, PostingsAreSortedAndDistinct) {
     const auto& cur = store.postings[i];
     EXPECT_TRUE(prev.code < cur.code ||
                 (prev.code == cur.code && prev.rep < cur.rep));
+  }
+}
+
+/// Test-only copy of the serial rebuild_rep_postings the bucketed
+/// group-by replaced: per-representative sort + dedup, then one global
+/// sort by (code, rep).
+std::vector<RepPosting> serial_reference_postings(const FamilyStore& store) {
+  const std::size_t k = store.kmer_k;
+  std::vector<RepPosting> postings;
+  for (std::size_t r = 0; r < store.representatives.size(); ++r) {
+    const std::string_view residues = store.sequence(store.representatives[r]);
+    if (residues.size() < k) continue;
+    const auto start = static_cast<std::ptrdiff_t>(postings.size());
+    for (std::size_t pos = 0; pos + k <= residues.size(); ++pos) {
+      u64 code = 0;
+      for (std::size_t j = 0; j < k; ++j) {
+        code = code * seq::kNumResidues + seq::residue_index(residues[pos + j]);
+      }
+      postings.push_back({code, static_cast<u32>(r), static_cast<u32>(pos)});
+    }
+    std::sort(postings.begin() + start, postings.end(),
+              [](const RepPosting& x, const RepPosting& y) {
+                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
+              });
+    postings.erase(std::unique(postings.begin() + start, postings.end(),
+                               [](const RepPosting& x, const RepPosting& y) {
+                                 return x.code == y.code;
+                               }),
+                   postings.end());
+  }
+  std::sort(postings.begin(), postings.end(),
+            [](const RepPosting& x, const RepPosting& y) {
+              return std::pair(x.code, x.rep) < std::pair(y.code, y.rep);
+            });
+  return postings;
+}
+
+TEST(StoreBuild, PostingsMatchSerialReference) {
+  // The large workload has enough k-mer windows to group in parallel; k
+  // spans the code range and reps_per_family varies the id set.
+  seq::FamilyModelConfig config;
+  config.num_families = 120;
+  config.min_members = 2;
+  config.max_members = 12;
+  config.num_background_orfs = 40;
+  config.seed = 23;
+  const auto large = seq::generate_metagenome(config);
+  const auto small = make_workload(9);
+  for (const auto* mg : {&small, &large}) {
+    for (std::size_t k : {2u, 5u, 12u}) {
+      for (std::size_t reps : {1u, 3u}) {
+        StoreBuildConfig build;
+        build.k = k;
+        build.reps_per_family = reps;
+        FamilyStore store = build_family_store(mg->sequences, mg->family, build);
+        SCOPED_TRACE("seqs=" + std::to_string(mg->sequences.size()) +
+                     " k=" + std::to_string(k) +
+                     " reps=" + std::to_string(reps));
+        EXPECT_EQ(store.postings, serial_reference_postings(store));
+        rebuild_rep_postings(store);
+        EXPECT_EQ(store.postings, serial_reference_postings(store));
+      }
+    }
   }
 }
 

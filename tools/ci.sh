@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: docs checks (tier 0, no build needed), tier-1
 # verification (configure + build + full ctest with warnings-as-errors),
-# then an ASan/UBSan build of the unit-test binary, run directly. Mirrors
+# then an ASan/UBSan build of the unit-test binary, run directly, and a
+# ThreadSanitizer build of the unit and alignment tests. Mirrors
 # what a hosted CI job would do; runnable locally from the repo root:
 #
 #   sh tools/ci.sh
@@ -160,5 +161,13 @@ echo "=== tier 3: chaos — randomized fault schedules under ASan ==="
 # (equivalently: ctest --test-dir build-asan -L chaos).
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/gpclust_chaos_tests
+
+echo "=== tier 4: ThreadSanitizer gpclust_tests + gpclust_align_tests (preset: tsan) ==="
+# The parallel host loops (bucketed group-by, parallel consume, the
+# device-emulation kernels) under the race detector; any report fails.
+cmake --preset tsan
+cmake --build --preset tsan
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/gpclust_tests
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/gpclust_align_tests
 
 echo "=== CI passed ==="
