@@ -1,10 +1,13 @@
 #include "ingest/ingest_session.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/serial_pclust.hpp"
 #include "graph/union_find.hpp"
 #include "seq/alphabet.hpp"
+#include "store/signature.hpp"
+#include "util/group_by.hpp"
 #include "util/timer.hpp"
 
 namespace gpclust::ingest {
@@ -444,9 +447,22 @@ bool IngestSession::still_candidate_lsh(
 }
 
 IngestBatchStats IngestSession::ingest(const seq::SequenceSet& batch) {
+  IngestBatchStats stats = ingest_batch(batch, nullptr);
+  last_store_.reset();
+  return stats;
+}
+
+IngestBatchStats IngestSession::ingest_batch(const seq::SequenceSet& batch,
+                                             std::vector<i32>* family_source) {
   IngestBatchStats stats;
   stats.num_new_sequences = batch.size();
-  if (batch.empty()) return stats;
+  if (batch.empty()) {
+    if (family_source != nullptr) {
+      family_source->resize(clusters_.size());
+      std::iota(family_source->begin(), family_source->end(), 0);
+    }
+    return stats;
+  }
   const std::size_t first_new = sequences_.size();
   const std::size_t n = first_new + batch.size();
   GPCLUST_CHECK(n <= 0xffffffffull, "sequence ids overflow u32");
@@ -548,21 +564,41 @@ IngestBatchStats IngestSession::ingest(const seq::SequenceSet& batch) {
     const core::Clustering reclustered =
         cluster_graph(graph::CsrGraph::from_edge_list(std::move(scoped)));
 
-    for (const auto& cluster : clusters_) {
-      if (!touched_root[uf.find(cluster.front())]) {
-        next_clusters.push_back(cluster);
+    // Each spliced cluster remembers the standing cluster it carries
+    // unchanged: untouched ones by construction, touched ones only if the
+    // re-shingle reproduced their exact membership (fronts are unique, so
+    // one lookup by front suffices).
+    std::vector<i32> source;
+    for (std::size_t b = 0; b < clusters_.size(); ++b) {
+      if (!touched_root[uf.find(clusters_[b].front())]) {
+        next_clusters.push_back(clusters_[b]);
+        source.push_back(static_cast<i32>(b));
       }
     }
     for (const auto& cluster : reclustered.clusters()) {
-      if (touched_root[uf.find(cluster.front())]) {
-        next_clusters.push_back(cluster);
-      }
+      if (!touched_root[uf.find(cluster.front())]) continue;
+      next_clusters.push_back(cluster);
+      const auto old = std::lower_bound(
+          clusters_.begin(), clusters_.end(), cluster.front(),
+          [](const std::vector<VertexId>& c, VertexId v) {
+            return c.front() < v;
+          });
+      source.push_back(old != clusters_.end() && *old == cluster
+                           ? static_cast<i32>(old - clusters_.begin())
+                           : store::SnapshotDelta::kFreshFamily);
     }
-    std::sort(next_clusters.begin(), next_clusters.end(),
-              [](const std::vector<VertexId>& x,
-                 const std::vector<VertexId>& y) {
-                return x.front() < y.front();
-              });
+    std::vector<std::size_t> order(next_clusters.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return next_clusters[x].front() < next_clusters[y].front();
+    });
+    std::vector<std::vector<VertexId>> sorted(order.size());
+    if (family_source != nullptr) family_source->resize(order.size());
+    for (std::size_t f = 0; f < order.size(); ++f) {
+      sorted[f] = std::move(next_clusters[order[f]]);
+      if (family_source != nullptr) (*family_source)[f] = source[order[f]];
+    }
+    next_clusters = std::move(sorted);
 
     stats.num_components = uf.num_sets();
     for (std::size_t v = 0; v < n; ++v) {
@@ -596,22 +632,123 @@ IngestBatchStats IngestSession::ingest(const seq::SequenceSet& batch) {
     postings_ = std::move(seed.merged_postings);
   }
   rollback.committed = true;
-  last_store_.reset();
   return stats;
 }
 
 store::SnapshotDelta IngestSession::ingest_with_delta(
     const seq::SequenceSet& batch, u64 chain_index, IngestBatchStats* stats) {
-  store::FamilyStore base =
-      last_store_ ? std::move(*last_store_) : this->store();
+  if (!last_store_) {
+    last_store_ = this->store();
+    last_store_crc_ = store::snapshot_crc(*last_store_);
+  }
+  const std::size_t first_new = sequences_.size();
+  std::vector<i32> family_source;
+  IngestBatchStats batch_stats = ingest_batch(batch, &family_source);
+
+  // The batch is committed: the cached store is the pre-batch one until
+  // the patch below replaces it (and is dropped if anything throws).
+  const store::FamilyStore base = std::move(*last_store_);
   last_store_.reset();
-  IngestBatchStats batch_stats = ingest(batch);
-  store::FamilyStore next = this->store();
-  store::SnapshotDelta delta =
-      store::build_snapshot_delta(base, next, chain_index);
-  last_store_ = std::move(next);
+  util::WallTimer delta_timer;
+  store::SnapshotDelta delta;
+  {
+    obs::HostSpan span(config_.tracer, "ingest.delta");
+    delta = splice_delta(base, first_new, std::move(family_source),
+                         chain_index);
+    // The session produced the base itself, so its CRC is the previous
+    // link's result CRC.
+    delta.base_crc = last_store_crc_;
+    store::FamilyStore next = store::patch_family_store(base, delta);
+    delta.result_crc = store::snapshot_crc(next);
+    last_store_ = std::move(next);
+    last_store_crc_ = delta.result_crc;
+  }
+  batch_stats.delta_host_s = delta_timer.seconds();
   if (stats != nullptr) *stats = batch_stats;
   return delta;
+}
+
+store::SnapshotDelta IngestSession::splice_delta(
+    const store::FamilyStore& base, std::size_t first_new,
+    std::vector<i32> family_source, u64 chain_index) const {
+  const std::size_t n = sequences_.size();
+  store::SnapshotDelta d;
+  d.chain_index = chain_index;
+  d.num_base_sequences = first_new;
+  d.num_base_families = base.num_families;
+  d.num_families = clusters_.size();
+  d.kmer_k = base.kmer_k;
+  d.sig_num_hashes = base.sig_num_hashes;
+  d.sig_seed = base.sig_seed;
+
+  // Appended sequences, delta-local offsets.
+  d.seq_offsets.push_back(0);
+  d.id_offsets.push_back(0);
+  for (std::size_t i = first_new; i < n; ++i) {
+    d.residues += sequences_[i].residues;
+    d.ids += sequences_[i].id;
+    d.seq_offsets.push_back(d.residues.size());
+    d.id_offsets.push_back(d.ids.size());
+  }
+
+  // Pre-batch families without a post-batch image retire.
+  std::vector<u8> carried(base.num_families, 0);
+  for (const i32 b : family_source) {
+    if (b != store::SnapshotDelta::kFreshFamily) carried[b] = 1;
+  }
+  for (u32 b = 0; b < base.num_families; ++b) {
+    if (!carried[b]) d.retired.push_back(b);
+  }
+
+  // Fresh families hold every new sequence and every moved one (a carried
+  // family's members are exactly its pre-batch members), plus their reps.
+  d.new_family_of.resize(n - first_new);
+  std::vector<std::pair<u32, u32>> moved;  // (sequence, family)
+  std::vector<u32> reps;
+  d.fresh_rep_offsets.push_back(0);
+  for (std::size_t f = 0; f < clusters_.size(); ++f) {
+    if (family_source[f] != store::SnapshotDelta::kFreshFamily) continue;
+    for (const VertexId v : clusters_[f]) {
+      if (v >= first_new) {
+        d.new_family_of[v - first_new] = static_cast<u32>(f);
+      } else {
+        moved.emplace_back(v, static_cast<u32>(f));
+      }
+    }
+    reps.assign(clusters_[f].begin(), clusters_[f].end());
+    store::select_representatives(reps, sequences_,
+                                  config_.store.reps_per_family);
+    d.fresh_reps.insert(d.fresh_reps.end(), reps.begin(), reps.end());
+    d.fresh_rep_offsets.push_back(d.fresh_reps.size());
+  }
+  std::sort(moved.begin(), moved.end());
+  for (const auto& [v, f] : moved) {
+    d.moved_seq.push_back(v);
+    d.moved_family.push_back(f);
+  }
+  d.family_source = std::move(family_source);
+
+  // Signature rows of the fresh reps: the same sketch build_rep_signatures
+  // takes over a rep's distinct k-mer codes, split across the default pool
+  // once there is enough hashing to amortize the dispatch.
+  const store::SignatureHashes hashes(d.sig_num_hashes, d.sig_seed);
+  d.signatures.resize(d.fresh_reps.size() * d.sig_num_hashes);
+  std::size_t residues = 0;
+  for (const u32 r : d.fresh_reps) residues += sequences_[r].length();
+  constexpr std::size_t kMinHashesPerWorker = std::size_t{1} << 16;
+  util::for_ranges(
+      util::group_by_workers(residues * d.sig_num_hashes, kMinHashesPerWorker),
+      d.fresh_reps.size(), [&](std::size_t lo, std::size_t hi) {
+        std::vector<u64> codes;
+        for (std::size_t i = lo; i < hi; ++i) {
+          seq::distinct_kmer_codes(sequences_[d.fresh_reps[i]].residues,
+                                   d.kmer_k, codes);
+          hashes.sketch(codes, std::span<u64>(d.signatures)
+                                   .subspan(i * d.sig_num_hashes,
+                                            d.sig_num_hashes));
+        }
+      });
+  return d;
 }
 
 }  // namespace gpclust::ingest

@@ -74,7 +74,8 @@ struct IngestConfig {
   /// Device-engine execution shape, fault plan and resilience policy.
   core::GpClustOptions device_options;
 
-  /// Spans "ingest.seed" / "ingest.verify" / "ingest.recluster" plus the
+  /// Spans "ingest.seed" / "ingest.verify" / "ingest.recluster" (and
+  /// "ingest.delta" in ingest_with_delta) plus the
   /// ingest_* counters; also handed to the cascade and the device engine
   /// when their own tracer slots are unset.
   obs::Tracer* tracer = nullptr;
@@ -99,6 +100,9 @@ struct IngestBatchStats {
   double seed_host_s = 0.0;       ///< index merge + candidate generation
   double verify_host_s = 0.0;     ///< cascade over the new candidates
   double recluster_host_s = 0.0;  ///< scoped shingling + splice
+  /// ingest_with_delta only: delta built from the splice, next store
+  /// patched from the previous one, result CRC.
+  double delta_host_s = 0.0;
   align::HomologyGraphStats verify;
 };
 
@@ -122,9 +126,15 @@ class IngestSession {
 
   /// ingest() plus a versioned snapshot delta describing the batch:
   /// applying the returned delta to the pre-batch snapshot reproduces the
-  /// post-batch snapshot byte-for-byte (store/delta.hpp). The pre-batch
-  /// snapshot is cached between calls, so a chain of ingest_with_delta()
-  /// calls serializes each snapshot once.
+  /// post-batch snapshot byte-for-byte (store/delta.hpp). The delta is
+  /// built straight from the batch's splice (new sequences, the touched
+  /// clusters, the fresh families' representatives and signatures), and
+  /// the post-batch store is patched from the cached pre-batch one through
+  /// store::patch_family_store — the path apply_snapshot_delta takes — so
+  /// a batch costs time in proportion to what it touched plus one CRC
+  /// pass. The first call (or the first after a plain ingest()) builds
+  /// the pre-batch store from scratch. Same strong exception guarantee as
+  /// ingest() up to the commit of the batch.
   store::SnapshotDelta ingest_with_delta(const seq::SequenceSet& batch,
                                          u64 chain_index,
                                          IngestBatchStats* stats = nullptr);
@@ -141,7 +151,8 @@ class IngestSession {
   u64 partition_digest() const { return clustering().digest(); }
 
   /// Snapshot of the current state (build_family_store over the session's
-  /// sequences and labels).
+  /// sequences and labels) — the from-scratch reference the patched
+  /// stores of ingest_with_delta equal.
   store::FamilyStore store() const;
 
  private:
@@ -163,6 +174,16 @@ class IngestSession {
     std::vector<u64> new_signatures;          ///< MinHashLsh staging
   };
 
+  /// ingest() without dropping the store cache. When `family_source` is
+  /// set it receives, per post-batch family, the pre-batch family whose
+  /// membership it carries unchanged, or SnapshotDelta::kFreshFamily.
+  IngestBatchStats ingest_batch(const seq::SequenceSet& batch,
+                                std::vector<i32>* family_source);
+  /// The batch's delta from its splice (chain CRCs left to the caller).
+  store::SnapshotDelta splice_delta(const store::FamilyStore& base,
+                                    std::size_t first_new,
+                                    std::vector<i32> family_source,
+                                    u64 chain_index) const;
   SeedOutput incremental_seed_kmer(std::size_t first_new) const;
   SeedOutput incremental_seed_lsh(std::size_t first_new) const;
   bool still_candidate_kmer(u32 a, u32 b,
@@ -183,8 +204,10 @@ class IngestSession {
   std::vector<u64> signatures_;        ///< per-seq min-hash rows (LSH width)
   std::optional<seq::SketchHashes> sketch_hashes_;
 
-  /// Pre-batch snapshot cache for ingest_with_delta chains.
+  /// Pre-batch snapshot cache for ingest_with_delta chains, and its
+  /// snapshot CRC (the next link's base_crc).
   std::optional<store::FamilyStore> last_store_;
+  u32 last_store_crc_ = 0;
 };
 
 }  // namespace gpclust::ingest

@@ -1,9 +1,12 @@
 #include "store/delta.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 
+#include "seq/kmer_postings.hpp"
+#include "store/framing.hpp"
 #include "util/crc32.hpp"
 
 namespace gpclust::store {
@@ -12,24 +15,13 @@ namespace {
 
 // On-disk layout mirrors the snapshot's framing discipline (snapshot.cpp):
 // header, CRC'd section table, 8-byte-aligned payloads, canonical layout.
-constexpr char kMagic[8] = {'G', 'P', 'C', 'L', 'D', 'L', 'T', 'A'};
+constexpr std::array<char, 8> kMagic = {'G', 'P', 'C', 'L', 'D', 'L', 'T', 'A'};
 constexpr u32 kFormatVersion = 1;
-constexpr std::size_t kAlignment = 8;
 
-struct Header {
-  char magic[8];
-  u32 version;
-  u32 section_count;
-};
-static_assert(sizeof(Header) == 16);
-
-struct SectionDesc {
-  u32 id;
-  u32 crc;
-  u64 offset;
-  u64 size_bytes;
-};
-static_assert(sizeof(SectionDesc) == 24);
+using framing::aligned;
+using framing::Header;
+using framing::kAlignment;
+using framing::SectionDesc;
 
 enum SectionId : u32 {
   kDeltaMeta = 1,
@@ -68,10 +60,6 @@ struct DeltaMeta {
 };
 static_assert(sizeof(DeltaMeta) == 120);
 
-std::size_t aligned(std::size_t n) {
-  return (n + kAlignment - 1) / kAlignment * kAlignment;
-}
-
 [[noreturn]] void corrupt(const std::string& what) {
   throw SnapshotError("snapshot delta: " + what);
 }
@@ -84,6 +72,76 @@ std::vector<std::vector<u32>> family_members(const FamilyStore& store) {
     members[store.family_of[i]].push_back(static_cast<u32>(i));
   }
   return members;
+}
+
+/// The chain link's cheap half: the delta was built against a base of
+/// exactly this shape.
+void check_chain_shape(const FamilyStore& base, const SnapshotDelta& d) {
+  if (d.num_base_sequences != base.num_sequences() ||
+      d.num_base_families != base.num_families || d.kmer_k != base.kmer_k ||
+      d.sig_num_hashes != base.sig_num_hashes ||
+      d.sig_seed != base.sig_seed) {
+    corrupt("delta " + std::to_string(d.chain_index) +
+            " does not match the base's shape (out-of-order chain?)");
+  }
+}
+
+constexpr u32 kRetiredRep = 0xffffffffu;
+
+bool by_code_rep(const RepPosting& x, const RepPosting& y) {
+  return x.code != y.code ? x.code < y.code : x.rep < y.rep;
+}
+
+/// out.postings from the base's postings: carried reps keep theirs under
+/// their new rep ids (`base_rep_image`, kRetiredRep for retired reps), and
+/// only the fresh reps (`fresh_rep_ids`, ascending new ids) are indexed
+/// anew and merged in. The merge is order-preserving only if the carried
+/// remap is monotone; a delta that permutes carried families falls back to
+/// the from-scratch rebuild_rep_postings. Either way the result is the
+/// (code, rep)-sorted array build_family_store writes.
+void patch_rep_postings(const FamilyStore& base,
+                        const std::vector<u32>& base_rep_image,
+                        const std::vector<u32>& fresh_rep_ids,
+                        FamilyStore& out) {
+  u32 last = 0;
+  bool first = true;
+  for (const u32 r : base_rep_image) {
+    if (r == kRetiredRep) continue;
+    if (!first && r <= last) {
+      rebuild_rep_postings(out);
+      return;
+    }
+    last = r;
+    first = false;
+  }
+
+  std::vector<RepPosting> fresh;
+  if (!fresh_rep_ids.empty()) {
+    seq::group_kmer_postings<RepPosting>(
+        fresh_rep_ids.size(), out.kmer_k,
+        [&](std::size_t i) {
+          return out.sequence(out.representatives[fresh_rep_ids[i]]);
+        },
+        [&fresh](std::size_t total) {
+          fresh.resize(total);
+          return fresh.data();
+        });
+    for (RepPosting& p : fresh) p.rep = fresh_rep_ids[p.rep];
+  }
+
+  out.postings.clear();
+  out.postings.reserve(base.postings.size() + fresh.size());
+  auto next_fresh = fresh.begin();
+  for (const RepPosting& p : base.postings) {
+    const u32 rep = base_rep_image[p.rep];
+    if (rep == kRetiredRep) continue;
+    const RepPosting carried{p.code, rep, p.pos};
+    while (next_fresh != fresh.end() && by_code_rep(*next_fresh, carried)) {
+      out.postings.push_back(*next_fresh++);
+    }
+    out.postings.push_back(carried);
+  }
+  out.postings.insert(out.postings.end(), next_fresh, fresh.end());
 }
 
 }  // namespace
@@ -175,33 +233,41 @@ SnapshotDelta build_snapshot_delta(const FamilyStore& base,
     d.fresh_rep_offsets.push_back(d.fresh_reps.size());
   }
 
-  const std::vector<char> base_bytes = serialize_snapshot(base);
-  const std::vector<char> next_bytes = serialize_snapshot(next);
-  d.base_crc = util::crc32(base_bytes.data(), base_bytes.size());
-  d.result_crc = util::crc32(next_bytes.data(), next_bytes.size());
+  d.base_crc = snapshot_crc(base);
+  d.result_crc = snapshot_crc(next);
   return d;
 }
 
 FamilyStore apply_snapshot_delta(const FamilyStore& base,
                                  const SnapshotDelta& d) {
-  // 1. Chain link: this delta was built against exactly these base bytes.
-  if (d.num_base_sequences != base.num_sequences() ||
-      d.num_base_families != base.num_families || d.kmer_k != base.kmer_k ||
-      d.sig_num_hashes != base.sig_num_hashes ||
-      d.sig_seed != base.sig_seed) {
+  // Chain link: this delta was built against exactly these base bytes.
+  // The base CRC is recomputed from the store in hand, never trusted from
+  // a cache.
+  check_chain_shape(base, d);
+  if (snapshot_crc(base) != d.base_crc) {
     corrupt("delta " + std::to_string(d.chain_index) +
-            " does not match the base's shape (out-of-order chain?)");
-  }
-  {
-    const std::vector<char> base_bytes = serialize_snapshot(base);
-    if (util::crc32(base_bytes.data(), base_bytes.size()) != d.base_crc) {
-      corrupt("delta " + std::to_string(d.chain_index) +
-              " chains from a different base snapshot (out-of-order or "
-              "edited chain)");
-    }
+            " chains from a different base snapshot (out-of-order or "
+            "edited chain)");
   }
 
-  // 2. Local consistency of the delta's own arrays.
+  FamilyStore out = patch_family_store(base, d);
+
+  // Byte-exactness proof: the applied store must serialize to the exact
+  // bytes the builder hashed. This closes every remaining gap — a delta
+  // that validates structurally but was built by a buggy or mismatched
+  // builder cannot produce silently divergent state.
+  if (snapshot_crc(out) != d.result_crc) {
+    corrupt("applied delta " + std::to_string(d.chain_index) +
+            " does not reproduce the recorded result snapshot");
+  }
+  return out;
+}
+
+FamilyStore patch_family_store(const FamilyStore& base,
+                               const SnapshotDelta& d) {
+  check_chain_shape(base, d);
+
+  // 1. Local consistency of the delta's own arrays.
   const std::size_t num_new = d.num_new_sequences();
   const std::size_t num_seq = base.num_sequences() + num_new;
   auto check_offsets = [](const std::vector<u64>& offsets, u64 limit,
@@ -227,7 +293,7 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
   out.sig_num_hashes = d.sig_num_hashes;
   out.sig_seed = d.sig_seed;
 
-  // 3. Sequences: base prefix + appended batch.
+  // 2. Sequences: base prefix + appended batch.
   out.seq_offsets = base.seq_offsets;
   out.id_offsets = base.id_offsets;
   out.residues = base.residues + d.residues;
@@ -237,7 +303,7 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
     out.id_offsets.push_back(base.ids.size() + d.id_offsets[i]);
   }
 
-  // 4. Family labels: carried families relabel via the source map's
+  // 3. Family labels: carried families relabel via the source map's
   // inverse, moved sequences override, new sequences append. Every member
   // of a retired family must be explicitly moved.
   std::vector<i32> image_of(base.num_families, -1);
@@ -284,13 +350,17 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
     }
   }
 
-  // 5. Representatives + signatures: carried families copy the base's rows
+  // 4. Representatives + signatures: carried families copy the base's rows
   // verbatim; fresh families take theirs from the delta.
   check_offsets(d.fresh_rep_offsets, d.fresh_reps.size(),
                 "fresh representative");
   if (d.signatures.size() != d.fresh_reps.size() * d.sig_num_hashes) {
     corrupt("signature section does not match the fresh rep count");
   }
+  std::vector<u32> base_rep_image(base.representatives.size(), kRetiredRep);
+  std::vector<u32> fresh_rep_ids;
+  fresh_rep_ids.reserve(d.fresh_reps.size());
+  out.rep_offsets.reserve(d.num_families + 1);
   out.rep_offsets.push_back(0);
   std::size_t fresh = 0;
   for (std::size_t f = 0; f < d.num_families; ++f) {
@@ -303,6 +373,7 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
         if (d.fresh_reps[r] >= num_seq) {
           corrupt("fresh representative out of range");
         }
+        fresh_rep_ids.push_back(static_cast<u32>(out.representatives.size()));
         out.representatives.push_back(d.fresh_reps[r]);
         out.signatures.insert(
             out.signatures.end(),
@@ -315,6 +386,7 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
     } else {
       const auto b = static_cast<std::size_t>(d.family_source[f]);
       for (u64 r = base.rep_offsets[b]; r < base.rep_offsets[b + 1]; ++r) {
+        base_rep_image[r] = static_cast<u32>(out.representatives.size());
         out.representatives.push_back(base.representatives[r]);
         out.signatures.insert(
             out.signatures.end(),
@@ -330,19 +402,8 @@ FamilyStore apply_snapshot_delta(const FamilyStore& base,
     corrupt("fresh family count disagrees with the source map");
   }
 
-  // 6. The postings index is global over (code, rep) — rebuild it with the
-  // shared deterministic builder rather than shipping it in the delta.
-  rebuild_rep_postings(out);
-
-  // 7. Byte-exactness proof: the applied store must re-serialize to the
-  // exact bytes the builder hashed. This closes every remaining gap — a
-  // delta that validates structurally but was built by a buggy or
-  // mismatched builder cannot produce silently divergent state.
-  const std::vector<char> out_bytes = serialize_snapshot(out);
-  if (util::crc32(out_bytes.data(), out_bytes.size()) != d.result_crc) {
-    corrupt("applied delta " + std::to_string(d.chain_index) +
-            " does not reproduce the recorded result snapshot");
-  }
+  // 5. Postings: patched from the base's (store/snapshot.hpp layout).
+  patch_rep_postings(base, base_rep_image, fresh_rep_ids, out);
   return out;
 }
 
@@ -364,12 +425,7 @@ std::vector<char> serialize_delta(const SnapshotDelta& d) {
                        d.base_crc,
                        d.result_crc};
 
-  struct Payload {
-    u32 id;
-    const void* data;
-    std::size_t size;
-  };
-  const Payload payloads[kNumSections] = {
+  const framing::Payload payloads[kNumSections] = {
       {kDeltaMeta, &meta, sizeof(meta)},
       {kSeqOffsets, d.seq_offsets.data(), d.seq_offsets.size() * sizeof(u64)},
       {kResidues, d.residues.data(), d.residues.size()},
@@ -389,32 +445,7 @@ std::vector<char> serialize_delta(const SnapshotDelta& d) {
       {kSignatures, d.signatures.data(), d.signatures.size() * sizeof(u64)},
   };
 
-  std::size_t offset =
-      aligned(sizeof(Header) + kNumSections * sizeof(SectionDesc));
-  std::vector<SectionDesc> table;
-  table.reserve(kNumSections);
-  std::size_t total = offset;
-  for (const Payload& p : payloads) {
-    table.push_back({p.id, util::crc32(p.data, p.size),
-                     static_cast<u64>(total), static_cast<u64>(p.size)});
-    total += aligned(p.size);
-  }
-
-  std::vector<char> out(total, 0);
-  Header header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kFormatVersion;
-  header.section_count = kNumSections;
-  std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(header), table.data(),
-              table.size() * sizeof(SectionDesc));
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    if (payloads[i].size > 0) {
-      std::memcpy(out.data() + table[i].offset, payloads[i].data,
-                  payloads[i].size);
-    }
-  }
-  return out;
+  return framing::frame_bytes(kMagic, kFormatVersion, payloads);
 }
 
 SnapshotDelta deserialize_delta(const std::vector<char>& bytes) {
@@ -422,7 +453,7 @@ SnapshotDelta deserialize_delta(const std::vector<char>& bytes) {
   if (bytes.size() < sizeof(Header)) corrupt("file shorter than the header");
   Header header;
   std::memcpy(&header, bytes.data(), sizeof(header));
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(header.magic, kMagic.data(), kMagic.size()) != 0) {
     corrupt("bad magic (not a gpclust snapshot delta)");
   }
   if (header.version != kFormatVersion) {
@@ -542,35 +573,11 @@ SnapshotDelta deserialize_delta(const std::vector<char>& bytes) {
 }
 
 void write_delta(const SnapshotDelta& delta, const std::string& path) {
-  const std::vector<char> bytes = serialize_delta(delta);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open delta for writing: " + path);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    throw std::runtime_error("short write to delta: " + path);
-  }
+  framing::publish_file(serialize_delta(delta), path, "delta");
 }
 
 SnapshotDelta load_delta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw SnapshotIoError("snapshot delta: cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<char> bytes(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const std::size_t got = bytes.empty()
-                              ? 0
-                              : std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) {
-    throw SnapshotIoError("snapshot delta: short read from " + path);
-  }
-  return deserialize_delta(bytes);
+  return deserialize_delta(framing::read_file(path, "snapshot delta"));
 }
 
 std::string delta_chain_path(const std::string& base_path, u64 index) {

@@ -13,8 +13,8 @@
 //     bytes; applying a delta to the wrong base (out-of-order chain,
 //     edited base) is a typed SnapshotError, never silent drift;
 //   * byte-exact — every delta also records the CRC-32 of the serialized
-//     post-apply snapshot, and apply_snapshot_delta re-serializes and
-//     checks it, so `compact(base + deltas)` is provably byte-identical
+//     post-apply snapshot, and apply_snapshot_delta recomputes and checks
+//     it (snapshot_crc, no buffer materialized), so `compact(base + deltas)` is provably byte-identical
 //     to a from-scratch `gpclust-build-index` snapshot;
 //   * self-validating — same framing discipline as the snapshot itself
 //     (magic "GPCLDLTA", version, CRC'd section table, canonical layout);
@@ -30,8 +30,10 @@
 namespace gpclust::store {
 
 /// The in-memory image of one delta. Built by build_snapshot_delta from a
-/// (base, next) snapshot pair; `next` must extend `base` (identical
-/// sequence prefix, same kmer_k and signature parameters).
+/// (base, next) snapshot pair — `next` must extend `base` (identical
+/// sequence prefix, same kmer_k and signature parameters) — or directly
+/// from a batch's splice by IngestSession::ingest_with_delta; both produce
+/// byte-identical deltas.
 struct SnapshotDelta {
   u64 chain_index = 0;         ///< 1-based position in the chain
   u32 base_crc = 0;            ///< CRC-32 of the serialized base snapshot
@@ -82,21 +84,36 @@ struct SnapshotDelta {
   friend bool operator==(const SnapshotDelta&, const SnapshotDelta&) = default;
 };
 
-/// Diffs two snapshots into a delta. `next` must extend `base`: same
-/// sequence prefix (offsets, residues, ids), same kmer_k and signature
-/// parameters. Throws InvalidArgument otherwise. The returned delta
-/// carries base_crc/result_crc over the two serialized snapshots, so
-/// apply_snapshot_delta(base, delta) == next byte-for-byte.
+/// Diffs two snapshots into a delta — the from-scratch reference the
+/// session-built deltas are tested against. `next` must extend `base`:
+/// same sequence prefix (offsets, residues, ids), same kmer_k and
+/// signature parameters. Throws InvalidArgument otherwise. The returned
+/// delta carries base_crc/result_crc over the two serialized snapshots,
+/// so apply_snapshot_delta(base, delta) == next byte-for-byte.
 SnapshotDelta build_snapshot_delta(const FamilyStore& base,
                                    const FamilyStore& next, u64 chain_index);
 
 /// Applies a delta to its base and returns the post-batch store. Validates
-/// the chain link (base_crc), every index and offset, and the result CRC
-/// of the re-serialized output; any mismatch is a SnapshotError. Carried
-/// families keep the base's representative lists and signature rows; the
-/// postings index is rebuilt deterministically (rebuild_rep_postings).
+/// the chain link (base_crc, recomputed from `base` with snapshot_crc),
+/// then patches through patch_family_store, then checks the result CRC of
+/// the output; any mismatch is a SnapshotError.
 FamilyStore apply_snapshot_delta(const FamilyStore& base,
                                  const SnapshotDelta& delta);
+
+/// The one store-patch path, (base, delta) -> next, in time proportional
+/// to the delta plus one linear pass over the base's arrays: sequences are
+/// appended, family labels relabeled in one pass, carried families copy
+/// the base's representative lists and signature rows, and the postings
+/// keep the base's entries of carried reps (rep ids remapped, retired reps
+/// dropped) merged with freshly indexed postings of the fresh reps only.
+/// If the carried remap is not order-preserving (a hand-made delta may
+/// permute families), the postings are rebuilt from scratch instead. The
+/// result equals build_family_store's for the same partition. Validates
+/// the base's shape and every index and offset of the delta (SnapshotError)
+/// but checks neither chain CRC: apply_snapshot_delta adds those, and
+/// IngestSession::ingest_with_delta patches with the delta it just built.
+FamilyStore patch_family_store(const FamilyStore& base,
+                               const SnapshotDelta& delta);
 
 /// Deterministic serialization: equal deltas produce byte-equal buffers.
 std::vector<char> serialize_delta(const SnapshotDelta& delta);
@@ -107,7 +124,9 @@ std::vector<char> serialize_delta(const SnapshotDelta& delta);
 /// concrete base happens in apply_snapshot_delta.
 SnapshotDelta deserialize_delta(const std::vector<char>& bytes);
 
-/// serialize_delta + one fwrite. Throws std::runtime_error on I/O failure.
+/// serialize_delta + the same crash-safe publish as write_snapshot (temp
+/// file, fsync, rename, directory fsync). Throws std::runtime_error on I/O
+/// failure, leaving any previous file at `path` intact.
 void write_delta(const SnapshotDelta& delta, const std::string& path);
 
 /// One fread of the whole file + deserialize_delta. Throws SnapshotError

@@ -1,10 +1,11 @@
 #include "store/snapshot.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
 #include <cstring>
 
 #include "seq/kmer_postings.hpp"
+#include "store/framing.hpp"
 #include "store/signature.hpp"
 #include "util/crc32.hpp"
 #include "util/prime.hpp"
@@ -15,28 +16,17 @@ namespace {
 
 // On-disk layout (all integers little-endian host order; the snapshot is
 // a same-architecture artifact like the binary CSR graphs).
-constexpr char kMagic[8] = {'G', 'P', 'C', 'L', 'F', 'I', 'D', 'X'};
+constexpr std::array<char, 8> kMagic = {'G', 'P', 'C', 'L', 'F', 'I', 'D', 'X'};
 // Version 2 added the signature sections (SIG_META, SIGNATURES). Version-1
 // files are still readable: their signatures are rebuilt on load from the
 // postings with the default parameters (store/signature.hpp).
 constexpr u32 kFormatVersion = 2;
 constexpr u32 kFormatVersionV1 = 1;
-constexpr std::size_t kAlignment = 8;
 
-struct Header {
-  char magic[8];
-  u32 version;
-  u32 section_count;
-};
-static_assert(sizeof(Header) == 16);
-
-struct SectionDesc {
-  u32 id;
-  u32 crc;
-  u64 offset;      ///< from file start, kAlignment-aligned
-  u64 size_bytes;  ///< payload bytes (before padding)
-};
-static_assert(sizeof(SectionDesc) == 24);
+using framing::aligned;
+using framing::Header;
+using framing::kAlignment;
+using framing::SectionDesc;
 
 // Section ids, in file order. META holds the scalar fields plus the
 // element counts the loader uses to size-check every other section.
@@ -72,10 +62,6 @@ struct SigMeta {
   u64 seed;
 };
 static_assert(sizeof(SigMeta) == 16);
-
-std::size_t aligned(std::size_t n) {
-  return (n + kAlignment - 1) / kAlignment * kAlignment;
-}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw SnapshotError("snapshot: " + what);
@@ -148,16 +134,9 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
   }
   out.rep_offsets.push_back(0);
   for (auto& family : members) {
-    std::sort(family.begin(), family.end(), [&](u32 a, u32 b) {
-      return std::pair(sequences[a].length(), b) >
-             std::pair(sequences[b].length(), a);
-    });
-    const std::size_t keep = std::min(family.size(), config.reps_per_family);
-    // Ascending rep ids within the family keep the postings sort stable
-    // across rebuilds regardless of length ties.
-    std::sort(family.begin(), family.begin() + static_cast<std::ptrdiff_t>(keep));
+    select_representatives(family, sequences, config.reps_per_family);
     out.representatives.insert(out.representatives.end(), family.begin(),
-                               family.begin() + static_cast<std::ptrdiff_t>(keep));
+                               family.end());
     out.rep_offsets.push_back(out.representatives.size());
   }
 
@@ -168,6 +147,19 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
   out.sig_seed = config.sig_seed > 0 ? config.sig_seed : kDefaultSignatureSeed;
   build_rep_signatures(out);
   return out;
+}
+
+void select_representatives(std::vector<u32>& members,
+                            const seq::SequenceSet& sequences,
+                            std::size_t keep) {
+  std::sort(members.begin(), members.end(), [&](u32 a, u32 b) {
+    return std::pair(sequences[a].length(), b) >
+           std::pair(sequences[b].length(), a);
+  });
+  members.resize(std::min(members.size(), keep));
+  // Ascending rep ids within the family keep the postings sort stable
+  // across rebuilds regardless of length ties.
+  std::sort(members.begin(), members.end());
 }
 
 void rebuild_rep_postings(FamilyStore& store) {
@@ -186,74 +178,64 @@ void rebuild_rep_postings(FamilyStore& store) {
       });
 }
 
+namespace {
+
+/// The snapshot's sections in file order, viewing the store's arrays (and
+/// the two scalar records, which the caller owns).
+struct SnapshotPayloads {
+  Meta meta;
+  SigMeta sig_meta;
+  std::array<framing::Payload, kNumSections> payloads;
+
+  explicit SnapshotPayloads(const FamilyStore& store)
+      : meta{store.kmer_k,
+             store.num_sequences(),
+             store.num_families,
+             store.representatives.size(),
+             store.postings.size(),
+             store.residues.size(),
+             store.ids.size()},
+        sig_meta{store.sig_num_hashes, store.sig_seed},
+        payloads{{
+            {kMeta, &meta, sizeof(meta)},
+            {kSeqOffsets, store.seq_offsets.data(),
+             store.seq_offsets.size() * sizeof(u64)},
+            {kResidues, store.residues.data(), store.residues.size()},
+            {kIdOffsets, store.id_offsets.data(),
+             store.id_offsets.size() * sizeof(u64)},
+            {kIds, store.ids.data(), store.ids.size()},
+            {kFamilyOf, store.family_of.data(),
+             store.family_of.size() * sizeof(u32)},
+            {kRepOffsets, store.rep_offsets.data(),
+             store.rep_offsets.size() * sizeof(u64)},
+            {kRepresentatives, store.representatives.data(),
+             store.representatives.size() * sizeof(u32)},
+            {kPostings, store.postings.data(),
+             store.postings.size() * sizeof(RepPosting)},
+            {kSigMeta, &sig_meta, sizeof(sig_meta)},
+            {kSignatures, store.signatures.data(),
+             store.signatures.size() * sizeof(u64)},
+        }} {
+    GPCLUST_CHECK(store.sig_num_hashes >= 1,
+                  "store has no signatures (build_rep_signatures first)");
+    GPCLUST_CHECK(store.signatures.size() ==
+                      store.representatives.size() * store.sig_num_hashes,
+                  "signature array does not match representative count");
+  }
+  SnapshotPayloads(const SnapshotPayloads&) = delete;
+  SnapshotPayloads& operator=(const SnapshotPayloads&) = delete;
+};
+
+}  // namespace
+
 std::vector<char> serialize_snapshot(const FamilyStore& store) {
-  GPCLUST_CHECK(store.sig_num_hashes >= 1,
-                "store has no signatures (build_rep_signatures first)");
-  GPCLUST_CHECK(store.signatures.size() ==
-                    store.representatives.size() * store.sig_num_hashes,
-                "signature array does not match representative count");
-  const Meta meta{store.kmer_k,
-                  store.num_sequences(),
-                  store.num_families,
-                  store.representatives.size(),
-                  store.postings.size(),
-                  store.residues.size(),
-                  store.ids.size()};
-  const SigMeta sig_meta{store.sig_num_hashes, store.sig_seed};
+  const SnapshotPayloads sections(store);
+  return framing::frame_bytes(kMagic, kFormatVersion, sections.payloads);
+}
 
-  struct Payload {
-    u32 id;
-    const void* data;
-    std::size_t size;
-  };
-  const Payload payloads[kNumSections] = {
-      {kMeta, &meta, sizeof(meta)},
-      {kSeqOffsets, store.seq_offsets.data(),
-       store.seq_offsets.size() * sizeof(u64)},
-      {kResidues, store.residues.data(), store.residues.size()},
-      {kIdOffsets, store.id_offsets.data(),
-       store.id_offsets.size() * sizeof(u64)},
-      {kIds, store.ids.data(), store.ids.size()},
-      {kFamilyOf, store.family_of.data(),
-       store.family_of.size() * sizeof(u32)},
-      {kRepOffsets, store.rep_offsets.data(),
-       store.rep_offsets.size() * sizeof(u64)},
-      {kRepresentatives, store.representatives.data(),
-       store.representatives.size() * sizeof(u32)},
-      {kPostings, store.postings.data(),
-       store.postings.size() * sizeof(RepPosting)},
-      {kSigMeta, &sig_meta, sizeof(sig_meta)},
-      {kSignatures, store.signatures.data(),
-       store.signatures.size() * sizeof(u64)},
-  };
-
-  std::size_t offset =
-      aligned(sizeof(Header) + kNumSections * sizeof(SectionDesc));
-  std::vector<SectionDesc> table;
-  table.reserve(kNumSections);
-  std::size_t total = offset;
-  for (const Payload& p : payloads) {
-    table.push_back({p.id, util::crc32(p.data, p.size),
-                     static_cast<u64>(total), static_cast<u64>(p.size)});
-    total += aligned(p.size);
-  }
-
-  // Zero-initialized buffer: all alignment padding is deterministic.
-  std::vector<char> out(total, 0);
-  Header header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kFormatVersion;
-  header.section_count = kNumSections;
-  std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(header), table.data(),
-              table.size() * sizeof(SectionDesc));
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    if (payloads[i].size > 0) {
-      std::memcpy(out.data() + table[i].offset, payloads[i].data,
-                  payloads[i].size);
-    }
-  }
-  return out;
+u32 snapshot_crc(const FamilyStore& store) {
+  const SnapshotPayloads sections(store);
+  return framing::frame_crc(kMagic, kFormatVersion, sections.payloads);
 }
 
 FamilyStore deserialize_snapshot(const std::vector<char>& bytes) {
@@ -261,7 +243,7 @@ FamilyStore deserialize_snapshot(const std::vector<char>& bytes) {
   if (bytes.size() < sizeof(Header)) corrupt("file shorter than the header");
   Header header;
   std::memcpy(&header, bytes.data(), sizeof(header));
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(header.magic, kMagic.data(), kMagic.size()) != 0) {
     corrupt("bad magic (not a gpclust family-index snapshot)");
   }
   if (header.version != kFormatVersion && header.version != kFormatVersionV1) {
@@ -403,36 +385,11 @@ FamilyStore deserialize_snapshot(const std::vector<char>& bytes) {
 }
 
 void write_snapshot(const FamilyStore& store, const std::string& path) {
-  const std::vector<char> bytes = serialize_snapshot(store);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open snapshot for writing: " + path);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    throw std::runtime_error("short write to snapshot: " + path);
-  }
+  framing::publish_file(serialize_snapshot(store), path, "snapshot");
 }
 
 FamilyStore load_snapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw SnapshotIoError("snapshot: cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<char> bytes(size > 0 ? static_cast<std::size_t>(size) : 0);
-  // The whole file in one read; sections are memcpy'd out of this buffer.
-  const std::size_t got = bytes.empty()
-                              ? 0
-                              : std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) {
-    throw SnapshotIoError("snapshot: short read from " + path);
-  }
-  return deserialize_snapshot(bytes);
+  return deserialize_snapshot(framing::read_file(path, "snapshot"));
 }
 
 }  // namespace gpclust::store

@@ -143,6 +143,13 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
                                const std::vector<u32>& labels,
                                const StoreBuildConfig& config = {});
 
+/// The representative rule of build_family_store, shared with the ingest
+/// session's fresh families: keeps the `keep` longest of `members`
+/// (smallest sequence index on length ties) and leaves them ascending.
+void select_representatives(std::vector<u32>& members,
+                            const seq::SequenceSet& sequences,
+                            std::size_t keep);
+
 /// Rebuilds `store.postings` from `store.representatives` and the residue
 /// blob — the sort-based layout build_family_store writes (per-rep distinct
 /// first occurrences, one global (code, rep) sort). Shared with the delta
@@ -154,6 +161,13 @@ void rebuild_rep_postings(FamilyStore& store);
 /// buffers.
 std::vector<char> serialize_snapshot(const FamilyStore& store);
 
+/// CRC-32 of serialize_snapshot(store), computed straight from the
+/// in-memory arrays without materializing the buffer: each section CRC
+/// once (the same routine the serializer's section table uses), folded
+/// into the whole-file CRC with util::crc32_combine. The chain CRCs of
+/// snapshot deltas (delta.hpp) are this value.
+u32 snapshot_crc(const FamilyStore& store);
+
 /// Parses and fully validates a serialized snapshot; throws SnapshotError
 /// on any corruption. Reads the current format (version 2) and the
 /// pre-signature version 1, whose signatures are reconstructed on load.
@@ -162,8 +176,10 @@ std::vector<char> serialize_snapshot(const FamilyStore& store);
 /// byte-identical version-2 image of the same store (the migration path).
 FamilyStore deserialize_snapshot(const std::vector<char>& bytes);
 
-/// serialize_snapshot + one fwrite. Throws std::runtime_error on I/O
-/// failure.
+/// serialize_snapshot, then a crash-safe publish: temp file in the same
+/// directory, fsync, rename over `path`, directory fsync. A crash or a
+/// failure leaves the previous file at `path` intact and no temp file
+/// behind. Throws std::runtime_error on I/O failure.
 void write_snapshot(const FamilyStore& store, const std::string& path);
 
 /// One fread of the whole file + deserialize_snapshot. Throws

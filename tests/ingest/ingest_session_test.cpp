@@ -4,7 +4,10 @@
 // concatenated input with the same configuration. Exercised for multiple
 // splits (including the batch-size-1 trickle), both supported seed modes,
 // a forced repeat-mask crossing that revokes standing edges, resume from a
-// persisted snapshot, and the device cluster engine.
+// persisted snapshot, and the device cluster engine. The delta path is
+// held to the same standard batch by batch: the delta the session builds
+// from its splice is byte-equal to the from-scratch diff of the two
+// stores, and applying it reproduces the from-scratch store.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "device/device_context.hpp"
 #include "ingest/ingest_session.hpp"
 #include "seq/family_model.hpp"
+#include "store/delta.hpp"
 #include "store/snapshot.hpp"
 
 namespace gpclust {
@@ -85,6 +89,68 @@ void expect_split_equivalent(const seq::SequenceSet& sequences,
             from_scratch_snapshot_bytes(sequences, config.graph,
                                         config.shingling, config.store))
       << batch_sizes.size() << " batches";
+}
+
+/// Replays `sequences` through ingest_with_delta and checks every link
+/// against the from-scratch reference: the session-built delta serializes
+/// to the bytes build_snapshot_delta(prev, next) writes, and applying it
+/// to the pre-batch store yields IngestSession::store() rebuilt from
+/// scratch. The session patches its own store with the same
+/// patch_family_store the apply runs, from a base that (by induction over
+/// the links) equals `prev`, so the patched store equals `next` too — and
+/// the delta's result CRC, computed from the patched store, matches.
+void expect_delta_chain_equivalent(const seq::SequenceSet& sequences,
+                                   const ingest::IngestConfig& config,
+                                   const std::vector<std::size_t>& batch_sizes) {
+  ingest::IngestSession session(config);
+  std::size_t offset = 0;
+  u64 link = 0;
+  for (const std::size_t size : batch_sizes) {
+    const seq::SequenceSet batch(
+        sequences.begin() + static_cast<std::ptrdiff_t>(offset),
+        sequences.begin() + static_cast<std::ptrdiff_t>(offset + size));
+    offset += size;
+    const store::FamilyStore prev = session.store();
+    const store::SnapshotDelta delta = session.ingest_with_delta(batch, ++link);
+    const store::FamilyStore next = session.store();
+    EXPECT_EQ(store::serialize_delta(delta),
+              store::serialize_delta(
+                  store::build_snapshot_delta(prev, next, link)))
+        << "link " << link;
+    EXPECT_EQ(store::apply_snapshot_delta(prev, delta), next)
+        << "link " << link;
+  }
+  EXPECT_EQ(store::serialize_snapshot(session.store()),
+            from_scratch_snapshot_bytes(sequences, config.graph,
+                                        config.shingling, config.store));
+}
+
+TEST(IngestDeltaEquivalence, SessionDeltasMatchTheReferenceEveryBatch) {
+  device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
+  for (const bool lsh : {false, true}) {
+    for (const bool device_engine : {false, true}) {
+      SCOPED_TRACE(std::string(lsh ? "minhash" : "kmer") +
+                   (device_engine ? "/device" : "/serial"));
+      ingest::IngestConfig config;
+      config.shingling = test_params();
+      if (lsh) {
+        config.graph.seed_mode = align::SeedMode::MinHashLsh;
+        config.graph.lsh.num_bands = 16;
+      }
+      if (device_engine) {
+        config.engine = ingest::ClusterEngine::Device;
+        config.device = &ctx;
+      }
+      const seq::SequenceSet sequences = make_workload(lsh ? 73 : 71, 5);
+      const std::size_t n = sequences.size();
+      expect_delta_chain_equivalent(sequences, config,
+                                    {n / 3, n / 3, n - 2 * (n / 3)});
+      const seq::SequenceSet trickle = make_workload(72, 3);
+      expect_delta_chain_equivalent(
+          trickle, config, std::vector<std::size_t>(trickle.size(), 1));
+      EXPECT_EQ(ctx.arena().used(), 0u);
+    }
+  }
 }
 
 TEST(IngestEquivalence, KmerModeBatchSplits) {
@@ -254,6 +320,14 @@ TEST(IngestSession, EmptyBatchIsANoOp) {
   const ingest::IngestBatchStats stats = session.ingest({});
   EXPECT_EQ(stats.num_new_sequences, 0u);
   EXPECT_EQ(session.partition_digest(), digest);
+
+  // Through the delta path an empty batch is a link that carries every
+  // family and adds nothing.
+  const store::FamilyStore before = session.store();
+  const store::SnapshotDelta delta = session.ingest_with_delta({}, 1);
+  EXPECT_EQ(delta.num_new_sequences(), 0u);
+  EXPECT_TRUE(delta.retired.empty());
+  EXPECT_EQ(store::apply_snapshot_delta(before, delta), before);
 }
 
 }  // namespace

@@ -162,6 +162,72 @@ TEST(SnapshotDelta, OutOfOrderChainApplicationIsTypedCorruption) {
   EXPECT_THROW(apply_snapshot_delta(mid, d1), SnapshotError);
 }
 
+TEST(SnapshotDelta, EditedBaseIsTypedCorruption) {
+  // Same shape, one residue changed: only the recomputed base CRC can tell.
+  const auto [base, next] = pinned_stores(6);
+  const SnapshotDelta delta = build_snapshot_delta(base, next, 1);
+  FamilyStore edited = base;
+  edited.residues[0] = edited.residues[0] == 'A' ? 'C' : 'A';
+  try {
+    apply_snapshot_delta(edited, delta);
+    FAIL() << "edited base not detected";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("different base"), std::string::npos);
+  }
+}
+
+TEST(SnapshotDelta, FlippedResultCrcIsTypedCorruption) {
+  const auto [base, next] = pinned_stores(6);
+  SnapshotDelta delta = build_snapshot_delta(base, next, 1);
+  delta.result_crc ^= 1u;
+  try {
+    apply_snapshot_delta(base, delta);
+    FAIL() << "flipped result CRC not detected";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not reproduce"),
+              std::string::npos);
+  }
+}
+
+TEST(SnapshotDelta, PermutedCarriedFamiliesApplyThroughTheFallback) {
+  // A valid delta may relabel carried families in any order. Reversing
+  // them makes the carried rep remap order-reversing, so the postings
+  // cannot be patched by a linear merge; apply must fall back to the
+  // from-scratch postings build and still reproduce `next` exactly. Every
+  // sequence starts with the same motif, so its k-mers' posting runs span
+  // the reps of all families and a missing fallback leaves them unsorted.
+  // Mixed in: appended sequences forming fresh families.
+  Workload w = pinned_workload();
+  for (seq::ProteinSequence& s : w.sequences) {
+    s.residues = "MKTAYIAKQRQISFVK" + s.residues;
+  }
+  const std::size_t cut = w.sequences.size() / 2;
+  const seq::SequenceSet head(w.sequences.begin(),
+                              w.sequences.begin() +
+                                  static_cast<std::ptrdiff_t>(cut));
+  const std::vector<u32> head_family(w.family.begin(),
+                                     w.family.begin() +
+                                         static_cast<std::ptrdiff_t>(cut));
+  const FamilyStore base = build_family_store(head, head_family);
+  ASSERT_GE(base.num_families, 3u);
+
+  // next: the base families reversed, then one fresh family per appended
+  // sequence (a singleton cannot equal any base family).
+  std::vector<u32> next_family(w.sequences.size());
+  for (std::size_t s = 0; s < cut; ++s) {
+    next_family[s] = static_cast<u32>(base.num_families - 1 - base.family_of[s]);
+  }
+  for (std::size_t s = cut; s < w.sequences.size(); ++s) {
+    next_family[s] = static_cast<u32>(base.num_families + (s - cut));
+  }
+  const FamilyStore next = build_family_store(w.sequences, next_family);
+
+  const SnapshotDelta delta = build_snapshot_delta(base, next, 1);
+  ASSERT_TRUE(delta.moved_seq.empty());
+  EXPECT_EQ(apply_snapshot_delta(base, delta), next);
+  EXPECT_EQ(patch_family_store(base, delta), next);
+}
+
 TEST(SnapshotDelta, MissingFileIsIoErrorNotCorruption) {
   EXPECT_THROW(load_delta(temp_path("gpclust_no_such_delta.gpfd")),
                SnapshotIoError);

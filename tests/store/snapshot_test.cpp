@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string_view>
 #include <vector>
 
@@ -190,6 +195,88 @@ TEST(StoreSnapshot, FileRoundTrip) {
   const auto loaded = load_snapshot(path);
   std::filesystem::remove(path);
   EXPECT_EQ(loaded, store);
+}
+
+// ---------------------------------------------------------------------------
+// Crash-safe publish (write_snapshot / write_delta share one path)
+// ---------------------------------------------------------------------------
+
+/// A fresh empty directory under the temp dir, removed on scope exit.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             (name + "." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::vector<std::string> entries() const {
+    std::vector<std::string> out;
+    for (const auto& e : std::filesystem::directory_iterator(path)) {
+      out.push_back(e.path().filename().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+std::vector<char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+TEST(StorePublish, MissingDirectoryThrowsAndCreatesNothing) {
+  const ScratchDir dir("gpclust_publish_missing");
+  const auto target = dir.path / "no_such_dir" / "families.gpfi";
+  EXPECT_THROW(write_snapshot(make_store(), target.string()),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(target.parent_path()));
+  EXPECT_TRUE(dir.entries().empty());
+}
+
+TEST(StorePublish, TargetIsADirectoryThrowsAndLeavesNoTempFile) {
+  const ScratchDir dir("gpclust_publish_onto_dir");
+  const auto target = dir.path / "families.gpfi";
+  std::filesystem::create_directory(target);
+  std::ofstream(target / "keep") << "previous";
+  EXPECT_THROW(write_snapshot(make_store(), target.string()),
+               std::runtime_error);
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  EXPECT_EQ(file_bytes(target / "keep"),
+            std::vector<char>({'p', 'r', 'e', 'v', 'i', 'o', 'u', 's'}));
+  EXPECT_EQ(dir.entries(), std::vector<std::string>{"families.gpfi"});
+}
+
+TEST(StorePublish, FailedWriteLeavesThePreviousFileByteIdentical) {
+  // A write that dies part-way (here: the process file-size limit, which
+  // fails the temp file's write with EFBIG) must leave the published file
+  // exactly as it was and remove its temp file.
+  const ScratchDir dir("gpclust_publish_short_write");
+  const auto target = dir.path / "families.gpfi";
+  write_snapshot(make_store(5), target.string());
+  const std::vector<char> previous = file_bytes(target);
+  ASSERT_GT(serialize_snapshot(make_store(6)).size(), 4096u);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit small = saved;
+  small.rlim_cur = 4096;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  bool threw = false;
+  try {
+    write_snapshot(make_store(6), target.string());
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(file_bytes(target), previous);
+  EXPECT_EQ(dir.entries(), std::vector<std::string>{"families.gpfi"});
 }
 
 TEST(StoreSnapshot, LoadMissingFileThrowsIoErrorNotCorruption) {

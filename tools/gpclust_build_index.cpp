@@ -13,7 +13,10 @@
 // components re-shingled — and emits one CRC'd delta link next to the
 // base snapshot (families.gpfi.delta.1, .delta.2, ...). --compact folds
 // the base plus its delta chain into a fresh full snapshot whose bytes
-// are identical to a from-scratch build over the concatenated input.
+// are identical to a from-scratch build over the concatenated input;
+// compacting in place (--out equal to --base-snapshot) also deletes the
+// folded links, so later appends start a fresh chain. Every snapshot and
+// delta is published atomically (temp file, fsync, rename).
 //
 //   gpclust-build-index --fasta=orfs.faa --out=families.gpfi
 //   gpclust-build-index --demo-families=40 --out=demo.gpfi
@@ -35,7 +38,8 @@
 //                          the base; --c1/--c2/--reps must match the
 //                          original build for byte-identical compaction)
 //   --compact              fold base snapshot + delta chain into --out
-//                          (exclusive with --append)
+//                          (exclusive with --append); with --out equal
+//                          to --base-snapshot the folded links are deleted
 //   --k=N                  k-mer length of the stored postings (default 5)
 //   --reps=N               representatives kept per family (default 2)
 //   --engine=gpu|serial    clustering implementation (default gpu)
@@ -55,6 +59,7 @@
 // gpclust-query.
 
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 
 #include "align/homology_graph.hpp"
@@ -84,7 +89,8 @@ void print_help(std::FILE* out) {
       "  --base-snapshot=PATH   existing snapshot (delta chain followed)\n"
       "  --append=F1[,F2,...]   ingest each FASTA as one incremental batch; "
       "one delta link per batch\n"
-      "  --compact              fold base snapshot + delta chain into --out\n"
+      "  --compact              fold base snapshot + delta chain into --out "
+      "(in place: --out=base also deletes the folded links)\n"
       "  --k=N                  k-mer length of the stored postings "
       "(default 5)\n"
       "  --reps=N               representatives kept per family (default 2)\n"
@@ -155,12 +161,12 @@ int run_append(const gpclust::util::CliArgs& args,
     std::printf(
         "appended %zu sequences from %s -> %s: %zu candidate pairs, "
         "+%zu/-%zu edges, %.1f%% of vertices re-shingled, %llu families, "
-        "%.2fs wall\n",
+        "%.3fs delta, %.2fs wall\n",
         batch.size(), path.c_str(), delta_path.c_str(),
         stats.num_candidate_pairs, stats.num_accepted_edges,
         stats.num_revoked_edges, 100.0 * stats.touched_fraction,
         static_cast<unsigned long long>(session.num_families()),
-        timer.seconds());
+        stats.delta_host_s, timer.seconds());
   }
   if (ctx.has_value()) {
     GPCLUST_CHECK(ctx->arena().used() == 0,
@@ -205,6 +211,15 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(tip.store.num_families));
       if (compact) {
         store::write_snapshot(tip.store, out_path);
+        // Compacting in place folds the chain into the base itself: retire
+        // the folded links, ascending, so a crash part-way leaves a gap at
+        // the front (which ends the chain) and the base loads alone.
+        std::error_code same_ec;
+        if (std::filesystem::equivalent(base_snapshot, out_path, same_ec)) {
+          for (u64 i = 1; i <= tip.chain_length; ++i) {
+            std::filesystem::remove(store::delta_chain_path(base_snapshot, i));
+          }
+        }
         std::printf("compacted %s + %llu delta link(s) -> %s: %zu sequences, "
                     "%llu families\n",
                     base_snapshot.c_str(),
