@@ -1,36 +1,36 @@
-// Ablation: k-stream batch pipelining and sharded host aggregation.
+// Ablation: synchronous vs asynchronous CPU-GPU transfers, generalized to
+// k-stream batch pipelining.
 //
-// Generalizes bench_ablation_async's two-mode comparison to the DESIGN.md
-// §8 pipeline: streams=1 is the paper's synchronous Thrust behavior,
-// streams=2 the legacy async overlap, and 2L streams keep L batches in
-// flight so batch i's D2H overlaps batch i+1's H2D and kernels. The first
-// table sweeps the stream count and decomposes the modeled makespan into
-// exposed (critical-path) kernel/H2D/D2H seconds — the exposed transfer
-// column is the overhead the pipeline drives toward zero. The second
-// table sweeps the host aggregation shard (bucket) count on the same tuple
-// stream and reports measured wall time: once transfers overlap away, this
-// measured host term is what dominates the end-to-end run. shards=1 is the
-// default, whose bucket count is derived from the tuple count.
+// The paper's implementation is synchronous ("data movement overhead ...
+// is unavoidable because of the synchronous data movement operations
+// implemented in current Thrust") and names stream-based overlap as future
+// work. This bench sweeps the DESIGN.md §8 pipeline: streams=1 is the
+// paper's synchronous Thrust behavior, streams=2 the async overlap of D2H
+// copies with the next trial's kernels, and 2L streams keep L batches in
+// flight so batch i's D2H overlaps batch i+1's H2D and kernels. Each table
+// decomposes the modeled makespan into exposed (critical-path)
+// kernel/H2D/D2H seconds — the exposed transfer column is the overhead the
+// pipeline drives toward zero — and its streams=1 vs streams=2 rows are
+// the sync-vs-async comparison.
 //
 // Device memory defaults small (--device-mb=24) so every scale splits into
 // multiple batches — cross-batch overlap needs batches to overlap.
 //
 // Flags: --scales (comma list, default "0.1,0.25"), --streams (default
-// "1,2,4,8"), --shards (default "1,4,16,64"), --device-mb,
-// --batch-elements (default 16384; a fixed cap so every stream count runs
-// the identical batch partition — otherwise the deeper pipelines derive
-// smaller default batches from the lane-split arena budget and the extra
-// per-batch launch/latency cost pollutes the overlap comparison).
+// "1,2,4,8"), --device-mb, --batch-elements (default 16384; a fixed cap so
+// every stream count runs the identical batch partition — otherwise the
+// deeper pipelines derive smaller default batches from the lane-split
+// arena budget and the extra per-batch launch/latency cost pollutes the
+// overlap comparison), --c1/--c2 (one custom regime instead of the two
+// defaults).
 
 #include <cstdio>
 #include <sstream>
 #include <vector>
 
-#include "core/device_shingling.hpp"
 #include "core/gpclust.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 #include "workloads.hpp"
 
 namespace {
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
   const auto scales = parse_doubles(args.get_string("scales", "0.1,0.25"));
   const auto stream_counts =
       parse_sizes(args.get_string("streams", "1,2,4,8"));
-  const auto shard_counts =
-      parse_sizes(args.get_string("shards", "1,4,16,64"));
   const std::size_t batch_elements =
       static_cast<std::size_t>(args.get_int("batch-elements", 16384));
   core::ShinglingParams params;
@@ -90,9 +88,9 @@ int main(int argc, char** argv) {
     regimes.push_back({"transfer-bound (c1=20, c2=10)", 20, 10});
   }
 
-  std::printf("=== Ablation: k-stream pipeline + sharded aggregation ===\n");
-  std::printf("(makespan and exposed columns are MODELED device time; "
-              "aggregate columns are MEASURED host wall time)\n\n");
+  std::printf("=== Ablation: sync vs async transfers, k-stream pipeline "
+              "===\n");
+  std::printf("(makespan and exposed columns are MODELED device time)\n\n");
 
   for (double scale : scales) {
     const auto pg = bench::make_2m_analog(scale);
@@ -145,36 +143,6 @@ int main(int argc, char** argv) {
       }
       std::printf("%s\n", table.render().c_str());
     }
-
-    // Shard sweep on the same tuple stream: regenerate the level-1 tuples
-    // once, then time each shard count over an identical copy. This is
-    // measured host time (the build host's wall clock), so run it alone.
-    device::DeviceSpec spec = device::DeviceSpec::tesla_k20();
-    spec.global_memory_bytes = device_mb << 20;
-    device::DeviceContext ctx(spec);
-    const core::HashFamily family1(params.c1, params.prime, params.seed, 1);
-    core::DevicePassOptions pass_options;
-    const core::ShingleTuples tuples = core::extract_shingles_device(
-        ctx, pg.graph.offsets(), pg.graph.adjacency(), family1, params.s1,
-        pass_options);
-
-    util::AsciiTable agg({"agg shards", "tuples", "aggregate [measured]",
-                          "speedup vs first row"});
-    double first_seconds = 0.0;
-    for (std::size_t shards : shard_counts) {
-      core::ShingleTuples working = tuples;
-      util::WallTimer timer;
-      const auto g = core::aggregate_tuples_sharded(
-          std::move(working), static_cast<u32>(shards));
-      const double seconds = timer.seconds();
-      if (shards == shard_counts.front()) first_seconds = seconds;
-      agg.add_row({std::to_string(shards), std::to_string(tuples.size()),
-                   util::AsciiTable::fmt(seconds, 3) + " s",
-                   util::AsciiTable::fmt(
-                       seconds > 0 ? first_seconds / seconds : 0.0, 2) +
-                       "x"});
-    }
-    std::printf("%s\n", agg.render().c_str());
   }
 
   std::printf("expected shape: streams=2 reproduces the async engine's "
@@ -183,7 +151,6 @@ int main(int argc, char** argv) {
               "~zero by uploading batch i+1 while batch i computes, a "
               "strict further gain in every regime and the bulk of the "
               "remaining win in the transfer-bound one. What's left exposed "
-              "is the serialized g->c DMA-engine floor — and the measured "
-              "host aggregation, which the shard sweep attacks.\n");
+              "is the serialized g->c DMA-engine floor.\n");
   return 0;
 }

@@ -18,7 +18,6 @@
 // pipeline's own GpClustReport.
 //
 // Flags: --scale20k, --scale2m (workload scale), --quick (tiny run),
-//        --devagg=false (skip the device-aggregation extension row),
 //        --trace-out=PREFIX (write PREFIX<row>.json chrome traces),
 //        --json=PATH (machine-readable rows, schema in docs/bench_json.md).
 
@@ -67,22 +66,22 @@ obs::HostSeconds emulation_seconds(const obs::Tracer& tracer) {
 
 RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
                        const core::ShinglingParams& params,
-                       bool device_aggregation = false,
-                       const std::string& trace_prefix = "") {
+                       const std::string& trace_prefix) {
   RowResult row;
   row.name = name;
   const auto stats = graph::compute_graph_stats(g);
   row.non_singleton = stats.num_non_singletons;
   row.edges = stats.num_edges;
 
-  // Serial baseline (pClust), measured.
-  util::MetricsRegistry serial_reg;
+  // Serial baseline (pClust), measured; its phase spans give the profile.
+  obs::Tracer serial_tracer;
   util::WallTimer serial_timer;
   core::SerialShingler serial(params);
-  auto serial_result = serial.cluster(g, &serial_reg);
+  auto serial_result = serial.cluster(g, &serial_tracer);
   row.serial_total = serial_timer.seconds();
-  row.serial_shingling =
-      serial_reg.get("serial.shingling1") + serial_reg.get("serial.shingling2");
+  row.serial_shingling = (serial_tracer.host_total("shingling1") +
+                          serial_tracer.host_total("shingling2"))
+                             .value;
 
   // gpClust with the K20-calibrated simulated device, loading the graph
   // from disk like the paper's pipeline does.
@@ -94,7 +93,6 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   device::DeviceContext ctx(device::DeviceSpec::tesla_k20());
   obs::Tracer tracer;
   core::GpClustOptions options;
-  options.device_aggregation = device_aggregation;
   options.tracer = &tracer;
   core::GpClust gp(ctx, params, options);
   core::GpClustReport report;
@@ -142,8 +140,9 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   // operations in the first and second level shingling" — extraction plus
   // the gather sort that builds the shingle graph.
   const double hash_sort = row.serial_shingling +
-                           serial_reg.get("serial.aggregate1") +
-                           serial_reg.get("serial.aggregate2");
+                           (serial_tracer.host_total("aggregate1") +
+                            serial_tracer.host_total("aggregate2"))
+                               .value;
   std::printf("  serial profile [%s]: shingle extraction %.1f%%, "
               "hashing+sorting total %.1f%% of %.2fs\n",
               name.c_str(), 100.0 * row.serial_shingling / row.serial_total,
@@ -178,16 +177,8 @@ int main(int argc, char** argv) {
 
   const auto trace_prefix = args.get_string("trace-out", "");
   std::vector<RowResult> rows;
-  rows.push_back(run_instance("20K-analog", g20.graph, params, false,
-                              trace_prefix));
-  rows.push_back(run_instance("2M-analog", g2m.graph, params, false,
-                              trace_prefix));
-  if (args.get_bool("devagg", true)) {
-    // Extension row: gather sort on the device too (beyond the paper's
-    // CPU-side aggregation) — shrinks the Amdahl-limiting CPU column.
-    rows.push_back(run_instance("2M-analog+devagg", g2m.graph, params, true,
-                                trace_prefix));
-  }
+  rows.push_back(run_instance("20K-analog", g20.graph, params, trace_prefix));
+  rows.push_back(run_instance("2M-analog", g2m.graph, params, trace_prefix));
   std::printf("\n");
 
   util::AsciiTable table({"graph", "#non-singleton", "#edges", "CPU", "GPU",

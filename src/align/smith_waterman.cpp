@@ -258,59 +258,4 @@ TracedAlignment smith_waterman_traced_banded(std::string_view a,
   return out;
 }
 
-AlignmentResult smith_waterman_banded(std::string_view a, std::string_view b,
-                                      std::size_t band,
-                                      const AlignmentParams& params) {
-  params.validate();
-  const auto ea = encode(a);
-  const auto eb = encode(b);
-  const std::size_t n = ea.size();
-  const std::size_t m = eb.size();
-
-  AlignmentResult best;
-  if (n == 0 || m == 0) return best;
-
-  const std::ptrdiff_t w = static_cast<std::ptrdiff_t>(band);
-  // Dense rows but only cells with |i - j| <= band computed; cells outside
-  // the band read as kNegInf (H outside reads 0 only at the borders, which
-  // is safe because local alignment restarts at 0 anyway).
-  std::vector<int> h(m + 1, 0), e(m + 1, kNegInf);
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::ptrdiff_t lo =
-        std::max<std::ptrdiff_t>(1, static_cast<std::ptrdiff_t>(i) - w);
-    const std::ptrdiff_t hi =
-        std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(m),
-                                 static_cast<std::ptrdiff_t>(i) + w);
-    if (lo > hi) break;  // band has left the matrix; no cells remain
-    int h_diag = (lo == 1) ? 0 : h[static_cast<std::size_t>(lo - 1)];
-    int h_left = 0;
-    int f = kNegInf;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      e[ju] = std::max(e[ju] - params.gap_extend,
-                       h[ju] - params.gap_open - params.gap_extend);
-      f = std::max(f - params.gap_extend,
-                   h_left - params.gap_open - params.gap_extend);
-      const int diag = h_diag + blosum62_by_index(ea[i - 1], eb[ju - 1]);
-      int score = std::max({0, diag, e[ju], f});
-      h_diag = h[ju];
-      h[ju] = score;
-      h_left = score;
-      if (score > best.score) {
-        best.score = score;
-        best.a_end = i;
-        best.b_end = ju;
-      }
-    }
-    if (hi < static_cast<std::ptrdiff_t>(m)) {
-      // Right band edge: the cell just past the band must not leak last
-      // row's value into the next row's diagonal.
-      h[static_cast<std::size_t>(hi + 1)] = 0;
-      e[static_cast<std::size_t>(hi + 1)] = kNegInf;
-    }
-  }
-  return best;
-}
-
 }  // namespace gpclust::align

@@ -54,17 +54,10 @@ struct TracedAlignment {
 TracedAlignment smith_waterman_traced(std::string_view a, std::string_view b,
                                       const AlignmentParams& params = {});
 
-/// Banded variant restricted to |i - j| <= band. Exact whenever the
-/// optimal local alignment's diagonal excursion stays within the band;
-/// never overestimates. Used to bound alignment cost on candidate pairs
-/// whose seeds already fix the diagonal.
-AlignmentResult smith_waterman_banded(std::string_view a, std::string_view b,
-                                      std::size_t band,
-                                      const AlignmentParams& params = {});
-
 /// Banded variant of smith_waterman_traced: full affine traceback over the
 /// cells with |i - j| <= band only, in O((|a| + |b|) * band) time and
-/// memory. Like the score-only band, never overestimates, and equals
+/// memory. Exact whenever the optimal local alignment's diagonal excursion
+/// stays within the band, never overestimates, and equals
 /// smith_waterman_traced exactly once band >= max(|a|, |b|). The identity
 /// pass of the homology-graph fast path calls this on the score-only
 /// pass's end-coordinate prefix with a growing band until the known

@@ -46,46 +46,6 @@ class ScopedDeviceFault {
   fault::FaultPlan* previous_;
 };
 
-/// Device aggregation under the resilience policy. The tuples are kept
-/// intact until the device path succeeds, so a transient fault can retry
-/// (with the backoff charged to the modeled timeline) and an unrecoverable
-/// fault can degrade to the CPU aggregation — which is shared code with
-/// the serial pipeline, so the result stays bit-identical.
-BipartiteShingleGraph aggregate_resilient(device::DeviceContext& ctx,
-                                          ShingleTuples&& tuples,
-                                          const fault::ResiliencePolicy& policy,
-                                          u32 agg_shards,
-                                          util::MetricsRegistry& reg,
-                                          obs::Tracer* tracer,
-                                          const std::string& trace_phase) {
-  if (!policy.enabled()) {
-    return aggregate_tuples_device(ctx, std::move(tuples), 0, &reg, "cpu",
-                                   trace_phase);
-  }
-  int attempt = 0;
-  for (;;) {
-    try {
-      ShingleTuples working = tuples;
-      return aggregate_tuples_device(ctx, std::move(working), 0, &reg, "cpu",
-                                     trace_phase);
-    } catch (const DeviceError& e) {
-      const bool transient = dynamic_cast<const TransferError*>(&e) ||
-                             dynamic_cast<const KernelError*>(&e);
-      if (transient && attempt < policy.max_retries) {
-        ++attempt;
-        device::charge_retry_backoff(ctx, policy, attempt, trace_phase);
-        obs::add_counter(tracer, "retries", 1);
-        continue;
-      }
-      if (!policy.fallback_enabled()) throw;
-      obs::add_counter(tracer, "cpu_fallbacks", 1);
-      util::ScopedTimer t(reg, "cpu");
-      obs::HostSpan span(tracer, trace_phase + ".cpu_fallback");
-      return aggregate_tuples_sharded(std::move(tuples), agg_shards);
-    }
-  }
-}
-
 }  // namespace
 
 GpClust::GpClust(device::DeviceContext& ctx, ShinglingParams params,
@@ -137,20 +97,12 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
                               params_.s1, pass_options, &reg, "cpu", &stats1,
                               "pass1");
 
-  // Aggregate the shingle graph (Algorithm 2 line 16) — on the CPU as the
-  // paper does, or on the device when the extension flag is set.
+  // Aggregate the shingle graph on the CPU (Algorithm 2 line 16).
   BipartiteShingleGraph gi;
-  if (options_.device_aggregation) {
-    // Host merge/group time accrues to "cpu" inside; the radix sort is
-    // device work on the modeled timeline.
-    gi = aggregate_resilient(ctx_, std::move(tuples1), options_.resilience,
-                             options_.pipeline.agg_shards, reg, tracer,
-                             "aggregate1");
-  } else {
+  {
     util::ScopedTimer t(reg, "cpu");
     obs::HostSpan span(tracer, "aggregate1");
-    gi = aggregate_tuples_sharded(std::move(tuples1),
-                                  options_.pipeline.agg_shards);
+    gi = aggregate_tuples(std::move(tuples1));
   }
   obs::add_counter(tracer, "shingles", gi.num_left());
 
@@ -161,20 +113,15 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
                               "pass2");
 
   // Final aggregation + dense subgraph reporting (lines 22-23).
+  BipartiteShingleGraph gii;
+  {
+    util::ScopedTimer t(reg, "cpu");
+    obs::HostSpan span(tracer, "aggregate2");
+    gii = aggregate_tuples(std::move(tuples2));
+  }
+  obs::add_counter(tracer, "shingles", gii.num_left());
   Clustering result;
   {
-    BipartiteShingleGraph gii;
-    if (options_.device_aggregation) {
-      gii = aggregate_resilient(ctx_, std::move(tuples2), options_.resilience,
-                                options_.pipeline.agg_shards, reg, tracer,
-                                "aggregate2");
-    } else {
-      util::ScopedTimer t(reg, "cpu");
-      obs::HostSpan span(tracer, "aggregate2");
-      gii = aggregate_tuples_sharded(std::move(tuples2),
-                                     options_.pipeline.agg_shards);
-    }
-    obs::add_counter(tracer, "shingles", gii.num_left());
     util::ScopedTimer t(reg, "cpu");
     obs::HostSpan span(tracer, "report");
     result = report_dense_subgraphs(gi, gii, g.num_vertices(), params_.mode);

@@ -25,22 +25,13 @@ namespace gpclust::core {
 
 struct GpClustOptions {
   /// Execution shape of the CPU-GPU pipeline (DESIGN.md §8): device
-  /// streams for the batch scheduler and hash-prefix shards for the
-  /// CPU-side tuple aggregation. Neither knob changes the clustering
-  /// result — only modeled device time and measured host time. The shard
-  /// count applies to the CPU aggregation path (including the resilience
-  /// fallback of device aggregation); the device radix sort is unsharded.
+  /// streams for the batch scheduler. It never changes the clustering
+  /// result — only modeled device time.
   PipelineParams pipeline;
 
   /// Cap on member elements per device batch; 0 derives it from free
   /// device memory. Tests use small values to force splits.
   std::size_t max_batch_elements = 0;
-
-  /// Run the shingle-graph gather sort on the device too (radix
-  /// sort_by_key; extension beyond the paper's CPU-side aggregation).
-  /// Results are identical; the CPU column shrinks and the GPU/transfer
-  /// columns grow.
-  bool device_aggregation = false;
 
   /// Deterministic fault injection: when non-null, the plan is bound to
   /// the device context for the duration of the run (alloc/h2d/d2h/kernel

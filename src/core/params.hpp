@@ -18,12 +18,10 @@ enum class ReportMode {
   Partition,
 };
 
-/// Execution-shape knobs of the CPU-GPU pipeline (DESIGN.md §8): how many
-/// device streams the batch scheduler pipelines over, and how many
-/// hash-prefix shards the host-side tuple aggregation uses. Neither knob
-/// affects the clustering result — the bit-identity invariant (§5.1) holds
-/// for every combination — only modeled device time (streams) and measured
-/// host time (shards).
+/// Execution shape of the CPU-GPU pipeline (DESIGN.md §8): how many device
+/// streams the batch scheduler pipelines over. It never affects the
+/// clustering result — the bit-identity invariant (§5.1) holds for every
+/// stream count — only modeled device time.
 struct PipelineParams {
   /// Device streams available to the batch pipeline.
   ///   1  — fully synchronous (the paper's Thrust behavior): every op on
@@ -36,18 +34,11 @@ struct PipelineParams {
   ///        compute and copies.
   std::size_t num_streams = 1;
 
-  /// Hash-prefix buckets of the CPU tuple aggregation
-  /// (aggregate_tuples_sharded). 1 = derive the count from the tuple count
-  /// (about 64 tuples per bucket, at most 2^16); >1 = exactly this many
-  /// buckets. Values beyond the tuple count only cost histogram space.
-  u32 agg_shards = 1;
-
   /// Lane count implied by num_streams (ceil(num_streams / 2)).
   std::size_t num_lanes() const { return num_streams / 2 + num_streams % 2; }
 
   void validate() const {
     GPCLUST_CHECK(num_streams >= 1, "need at least one device stream");
-    GPCLUST_CHECK(agg_shards >= 1, "need at least one aggregation shard");
   }
 };
 

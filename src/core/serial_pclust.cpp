@@ -37,11 +37,8 @@ ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
 }
 
 Clustering SerialShingler::cluster(const graph::CsrGraph& g,
-                                   util::MetricsRegistry* metrics,
                                    obs::Tracer* tracer) const {
   params_.validate(g.num_vertices());
-  util::MetricsRegistry local;
-  util::MetricsRegistry& reg = metrics ? *metrics : local;
   obs::add_counter(tracer, "sequences", g.num_vertices());
 
   const HashFamily family1(params_.c1, params_.prime, params_.seed, 1);
@@ -49,7 +46,6 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
 
   ShingleTuples tuples1;
   {
-    util::ScopedTimer t(reg, "serial.shingling1");
     obs::HostSpan span(tracer, "shingling1");
     tuples1 = extract_shingles_serial(g.offsets(), g.adjacency(), family1,
                                       params_.s1);
@@ -57,7 +53,6 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
   obs::add_counter(tracer, "tuples", tuples1.size());
   BipartiteShingleGraph gi;
   {
-    util::ScopedTimer t(reg, "serial.aggregate1");
     obs::HostSpan span(tracer, "aggregate1");
     gi = aggregate_tuples(std::move(tuples1));
   }
@@ -65,7 +60,6 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
 
   ShingleTuples tuples2;
   {
-    util::ScopedTimer t(reg, "serial.shingling2");
     obs::HostSpan span(tracer, "shingling2");
     tuples2 =
         extract_shingles_serial(gi.offsets, gi.members, family2, params_.s2);
@@ -73,13 +67,11 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
   obs::add_counter(tracer, "tuples", tuples2.size());
   BipartiteShingleGraph gii;
   {
-    util::ScopedTimer t(reg, "serial.aggregate2");
     obs::HostSpan span(tracer, "aggregate2");
     gii = aggregate_tuples(std::move(tuples2));
   }
   obs::add_counter(tracer, "shingles", gii.num_left());
 
-  util::ScopedTimer t(reg, "serial.report");
   obs::HostSpan span(tracer, "report");
   return report_dense_subgraphs(gi, gii, g.num_vertices(), params_.mode);
 }

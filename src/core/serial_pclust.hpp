@@ -10,7 +10,6 @@
 #include "core/params.hpp"
 #include "core/shingle_graph.hpp"
 #include "graph/csr_graph.hpp"
-#include "util/timer.hpp"
 
 namespace gpclust::obs {
 class Tracer;
@@ -32,16 +31,13 @@ class SerialShingler {
 
   const ShinglingParams& params() const { return params_; }
 
-  /// Clusters the similarity graph. When `metrics` is provided, wall time
-  /// is recorded under "serial.shingling1", "serial.aggregate1",
-  /// "serial.shingling2", "serial.aggregate2", "serial.report" — the
-  /// profile the paper uses to show ~80% of serial time is in shingling.
-  /// When `tracer` is provided, the same phases are recorded as
-  /// host-measured spans ("shingling1", "aggregate1", ...) plus the
-  /// "sequences"/"tuples"/"shingles" counters; every span of a serial run
-  /// is host-measured (there is no device).
+  /// Clusters the similarity graph. When `tracer` is provided, the phases
+  /// are recorded as host-measured spans ("shingling1", "aggregate1",
+  /// "shingling2", "aggregate2", "report") plus the
+  /// "sequences"/"tuples"/"shingles" counters — the profile the paper uses
+  /// to show ~80% of serial time is in shingling. Every span of a serial
+  /// run is host-measured (there is no device).
   Clustering cluster(const graph::CsrGraph& g,
-                     util::MetricsRegistry* metrics = nullptr,
                      obs::Tracer* tracer = nullptr) const;
 
  private:

@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "core/shingle_graph_detail.hpp"
 #include "util/group_by.hpp"
 
 namespace gpclust::core {
@@ -21,6 +20,11 @@ constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
 /// Below this many tuples per worker the pool's dispatch costs more than
 /// it saves; smaller inputs aggregate on the calling thread.
 constexpr std::size_t kMinTuplesPerWorker = std::size_t{1} << 14;
+
+/// Packs a tuple into one 128-bit key ordered by (shingle, owner).
+inline __uint128_t pack_tuple(ShingleId shingle, u32 owner) {
+  return (static_cast<__uint128_t>(shingle) << 32) | owner;
+}
 
 /// Monotone multiply-shift bucket map: floor(shingle * buckets / 2^64).
 /// Shingle ids are (salted) hashes, so they spread uniformly over the u64
@@ -53,7 +57,7 @@ BipartiteShingleGraph aggregate_bucketed(ShingleTuples&& tuples,
   const std::vector<std::size_t> bounds = util::bucketed_group_by<__uint128_t>(
       n, workers, buckets,
       [&](std::size_t, std::size_t i, auto&& emit) {
-        emit(detail::pack_tuple(tuples.shingle[i], tuples.owner[i]));
+        emit(pack_tuple(tuples.shingle[i], tuples.owner[i]));
       },
       [buckets](__uint128_t key) {
         return bucket_of(static_cast<ShingleId>(key >> 32), buckets);

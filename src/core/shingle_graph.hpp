@@ -6,11 +6,9 @@
 // tuples is the "compute shingle graph" box of the paper's Figure 3.
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/common.hpp"
-#include "util/timer.hpp"
 
 namespace gpclust::core {
 
@@ -61,37 +59,5 @@ BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples);
 /// aggregate_tuples for every shard count.
 BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards);
-
-}  // namespace gpclust::core
-
-// Device-accelerated aggregation lives in a separate header to keep the
-// CPU-only path free of device dependencies.
-namespace gpclust::device {
-class DeviceContext;
-}
-
-namespace gpclust::core {
-
-/// Extension beyond the paper (its Figure 3 aggregates on the CPU): the
-/// gather sort runs on the device as a batched radix sort_by_key — the
-/// same Merrill radix sorting [15] Thrust uses — and only the linear
-/// grouping pass stays on the host. Produces a graph identical to
-/// aggregate_tuples. `max_batch_elements` = 0 derives the batch size from
-/// free device memory; tuples beyond one batch are sorted per batch and
-/// merged on the host.
-///
-/// When `metrics` is given, only the host-side phases (packing, run
-/// merging, grouping) accrue wall time under `cpu_metric`; the sort itself
-/// is device work and is accounted on the context's modeled timeline, like
-/// every other kernel.
-/// When a tracer is attached to `ctx`, host-side packing/merging becomes
-/// host-measured spans under `trace_phase` and modeled sort/copy ops are
-/// attributed to the phase.
-BipartiteShingleGraph aggregate_tuples_device(
-    device::DeviceContext& ctx, ShingleTuples&& tuples,
-    std::size_t max_batch_elements = 0,
-    util::MetricsRegistry* metrics = nullptr,
-    const std::string& cpu_metric = "cpu",
-    const std::string& trace_phase = "aggregate");
 
 }  // namespace gpclust::core

@@ -109,7 +109,22 @@ IngestSession::IngestSession(IngestConfig config,
   // keeps resume honest even if the caller's config differs).
   ingest(adopted);
   clusters_ = std::move(clusters);
-  last_store_.reset();
+
+  // ingest_with_delta chains its first link off this session's store, so
+  // the session's store parameters must rebuild the base exactly — else
+  // the link's base_crc could never match the base it extends.
+  store::FamilyStore rebuilt = store();
+  const u32 rebuilt_crc = store::snapshot_crc(rebuilt);
+  if (rebuilt_crc != store::snapshot_crc(base)) {
+    throw InvalidArgument(
+        "the session's store parameters (k=" +
+        std::to_string(config_.store.k) + ", reps per family=" +
+        std::to_string(config_.store.reps_per_family) +
+        ") do not rebuild the base snapshot; use the parameters the base "
+        "was built with");
+  }
+  last_store_ = std::move(rebuilt);
+  last_store_crc_ = rebuilt_crc;
 }
 
 core::Clustering IngestSession::cluster_graph(const graph::CsrGraph& g) const {
@@ -118,8 +133,7 @@ core::Clustering IngestSession::cluster_graph(const graph::CsrGraph& g) const {
                          config_.device_options);
     return engine.cluster(g);
   }
-  return core::SerialShingler(config_.shingling)
-      .cluster(g, nullptr, config_.tracer);
+  return core::SerialShingler(config_.shingling).cluster(g, config_.tracer);
 }
 
 core::Clustering IngestSession::clustering() const {

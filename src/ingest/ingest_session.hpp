@@ -116,7 +116,10 @@ class IngestSession {
   /// edge set by replaying the cascade over the adopted sequences — a
   /// one-time cost, after which batches are incremental. The base's
   /// partition must be the pipeline's canonical family order (families
-  /// ascending by smallest member).
+  /// ascending by smallest member), and config.store must rebuild the base
+  /// byte for byte (same k, reps per family and signature parameters):
+  /// throws InvalidArgument otherwise, since a delta chained off a
+  /// different store could never apply to the base.
   IngestSession(IngestConfig config, const store::FamilyStore& base);
 
   /// Ingests one batch of new sequences. Strong exception guarantee: on
@@ -132,9 +135,9 @@ class IngestSession {
   /// the post-batch store is patched from the cached pre-batch one through
   /// store::patch_family_store — the path apply_snapshot_delta takes — so
   /// a batch costs time in proportion to what it touched plus one CRC
-  /// pass. The first call (or the first after a plain ingest()) builds
-  /// the pre-batch store from scratch. Same strong exception guarantee as
-  /// ingest() up to the commit of the batch.
+  /// pass. When no pre-batch store is cached (an empty session, or the
+  /// first call after a plain ingest()) it is built from scratch. Same
+  /// strong exception guarantee as ingest() up to the commit of the batch.
   store::SnapshotDelta ingest_with_delta(const seq::SequenceSet& batch,
                                          u64 chain_index,
                                          IngestBatchStats* stats = nullptr);

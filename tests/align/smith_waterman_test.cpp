@@ -211,7 +211,7 @@ TEST(SmithWatermanBanded, WideBandMatchesFull) {
     const auto b = random_protein(rng, 10 + rng.next_below(50));
     const auto full = smith_waterman(a, b);
     const auto banded =
-        smith_waterman_banded(a, b, std::max(a.size(), b.size()));
+        smith_waterman_traced_banded(a, b, std::max(a.size(), b.size()));
     EXPECT_EQ(banded.score, full.score);
   }
 }
@@ -223,7 +223,7 @@ TEST(SmithWatermanBanded, NeverOverestimates) {
     const auto b = random_protein(rng, 20 + rng.next_below(40));
     const int full = smith_waterman(a, b).score;
     for (std::size_t band : {0u, 1u, 3u, 8u}) {
-      EXPECT_LE(smith_waterman_banded(a, b, band).score, full);
+      EXPECT_LE(smith_waterman_traced_banded(a, b, band).score, full);
     }
   }
 }
@@ -231,7 +231,7 @@ TEST(SmithWatermanBanded, NeverOverestimates) {
 TEST(SmithWatermanBanded, DiagonalCoreFoundWithNarrowBand) {
   const std::string s = "MKVLAAGGHTREQWMKVLAAGGHTREQW";
   const auto full = smith_waterman(s, s);
-  const auto banded = smith_waterman_banded(s, s, 0);
+  const auto banded = smith_waterman_traced_banded(s, s, 0);
   EXPECT_EQ(banded.score, full.score);  // perfect diagonal needs band 0
 }
 

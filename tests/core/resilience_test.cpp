@@ -45,12 +45,10 @@ u64 run_with_plan(const graph::CsrGraph& g,
                   const core::ShinglingParams& params, fault::FaultPlan& plan,
                   fault::ResilienceMode mode, obs::Tracer& tracer,
                   core::GpClustReport* report = nullptr,
-                  bool device_aggregation = false,
                   std::size_t max_batch_elements = 73) {
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
   core::GpClustOptions options;
   options.max_batch_elements = max_batch_elements;
-  options.device_aggregation = device_aggregation;
   options.tracer = &tracer;
   options.fault_plan = &plan;
   options.resilience.mode = mode;
@@ -169,25 +167,11 @@ TEST(Resilience, FallbackSurvivesPersistentKernelFaults) {
   EXPECT_EQ(run_with_plan(g, params, plan, fault::ResilienceMode::Fallback,
                           tracer, &report),
             expected);
-  // Both passes degraded to the CPU (aggregation is CPU-side by default).
+  // Both passes degraded to the CPU (aggregation is CPU-side).
   EXPECT_GE(tracer.counter("cpu_fallbacks"), 2u);
   EXPECT_TRUE(report.pass1.cpu_fallback);
   EXPECT_TRUE(report.pass2.cpu_fallback);
   EXPECT_GT(tracer.counter("retries"), 0u);
-}
-
-TEST(Resilience, FallbackCoversDeviceAggregation) {
-  const auto g = resilience_test_graph();
-  const auto params = resilience_test_params();
-  const u64 expected = serial_digest(g, params);
-
-  auto plan = fault::FaultPlan::parse("kernel_fail@kernel:0-999999");
-  obs::Tracer tracer;
-  EXPECT_EQ(run_with_plan(g, params, plan, fault::ResilienceMode::Fallback,
-                          tracer, nullptr, /*device_aggregation=*/true),
-            expected);
-  // Passes and both aggregations fell back.
-  EXPECT_GE(tracer.counter("cpu_fallbacks"), 4u);
 }
 
 TEST(Resilience, MidStreamFaultAfterCommittedBatchesStaysIdentical) {
@@ -201,7 +185,7 @@ TEST(Resilience, MidStreamFaultAfterCommittedBatchesStaysIdentical) {
   auto plan = fault::FaultPlan::parse("kernel_fail@kernel:40-999999");
   obs::Tracer tracer;
   EXPECT_EQ(run_with_plan(g, params, plan, fault::ResilienceMode::Fallback,
-                          tracer, nullptr, false, /*max_batch_elements=*/7),
+                          tracer, nullptr, /*max_batch_elements=*/7),
             expected);
   EXPECT_GE(tracer.counter("cpu_fallbacks"), 1u);
   EXPECT_GT(tracer.counter("batches"), 0u);

@@ -1,7 +1,7 @@
 // The k-stream pipeline scheduler (DESIGN.md §8): engine-exclusive
 // SimTimeline semantics, exposed critical-path accounting, the modeled
 // makespan's behavior over the stream count, and bit-identity of the
-// partition for every {streams} x {shards} x {resilience} combination
+// partition for every {streams} x {resilience} combination
 // (CLAUDE.md invariant) — including under a chaos fault plan, with the
 // arena empty after every run.
 
@@ -89,13 +89,11 @@ core::ShinglingParams overlap_test_params() {
 }
 
 core::GpClustReport run_with_streams(const graph::CsrGraph& g,
-                                     std::size_t streams,
-                                     std::size_t agg_shards = 1) {
+                                     std::size_t streams) {
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
   core::GpClustOptions options;
   options.max_batch_elements = 97;  // same batch partition for every k
   options.pipeline.num_streams = streams;
-  options.pipeline.agg_shards = static_cast<u32>(agg_shards);
   core::GpClustReport report;
   core::GpClust(ctx, overlap_test_params(), options).cluster(g, &report);
   EXPECT_EQ(ctx.arena().used(), 0u) << "streams=" << streams;
@@ -178,30 +176,24 @@ TEST(StreamOverlap, StreamsShardsAndResilienceAllMatchSerial) {
       "xfer_fail@h2d:2,kernel_fail@kernel:9,oom@alloc:11,xfer_fail@d2h:25";
 
   for (std::size_t streams : {1u, 2u, 4u, 8u}) {
-    for (std::size_t shards : {1u, 4u, 16u}) {
-      for (bool chaos : {false, true}) {
-        fault::FaultPlan plan;
-        device::DeviceContext ctx(
-            device::DeviceSpec::small_test_device(8 << 20));
-        core::GpClustOptions options;
-        options.max_batch_elements = 97;
-        options.pipeline.num_streams = streams;
-        options.pipeline.agg_shards = static_cast<u32>(shards);
-        if (chaos) {
-          plan = fault::FaultPlan::parse(kChaosSpec);
-          options.fault_plan = &plan;
-          options.resilience.mode = fault::ResilienceMode::Fallback;
-        }
-        auto result = core::GpClust(ctx, params, options).cluster(g);
-        result.normalize();
-        EXPECT_EQ(result.digest(), expected)
-            << "streams=" << streams << " shards=" << shards
-            << " chaos=" << chaos;
-        EXPECT_EQ(ctx.arena().used(), 0u)
-            << "streams=" << streams << " shards=" << shards
-            << " chaos=" << chaos;
-        EXPECT_EQ(ctx.arena().num_allocations(), 0u);
+    for (bool chaos : {false, true}) {
+      fault::FaultPlan plan;
+      device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
+      core::GpClustOptions options;
+      options.max_batch_elements = 97;
+      options.pipeline.num_streams = streams;
+      if (chaos) {
+        plan = fault::FaultPlan::parse(kChaosSpec);
+        options.fault_plan = &plan;
+        options.resilience.mode = fault::ResilienceMode::Fallback;
       }
+      auto result = core::GpClust(ctx, params, options).cluster(g);
+      result.normalize();
+      EXPECT_EQ(result.digest(), expected)
+          << "streams=" << streams << " chaos=" << chaos;
+      EXPECT_EQ(ctx.arena().used(), 0u)
+          << "streams=" << streams << " chaos=" << chaos;
+      EXPECT_EQ(ctx.arena().num_allocations(), 0u);
     }
   }
 }

@@ -261,6 +261,29 @@ TEST(IngestEquivalence, ResumeFromSnapshot) {
                                         config.shingling, config.store));
 }
 
+TEST(IngestSession, ResumeRefusesStoreParamsThatDoNotRebuildTheBase) {
+  const seq::SequenceSet sequences = make_workload(74, 5);
+  ingest::IngestConfig config;
+  config.shingling = test_params();
+  const store::FamilyStore base = store::build_family_store(
+      sequences, from_scratch(sequences, config.graph, config.shingling)
+                     .labels(),
+      config.store);  // reps per family = 2
+
+  // A delta chained off a reps=3 store could never apply to this base.
+  ingest::IngestConfig mismatched = config;
+  mismatched.store.reps_per_family = 3;
+  EXPECT_THROW(ingest::IngestSession session(mismatched, base),
+               InvalidArgument);
+
+  // Matching parameters chain the first link straight off the base.
+  ingest::IngestSession session(config, base);
+  const store::SnapshotDelta delta =
+      session.ingest_with_delta(make_workload(75, 1), 1);
+  EXPECT_EQ(delta.base_crc, store::snapshot_crc(base));
+  EXPECT_EQ(store::apply_snapshot_delta(base, delta), session.store());
+}
+
 TEST(IngestEquivalence, DeviceEngineAndBackendMatchSerial) {
   // Device shingling engine + DeviceBatched verification reproduce the
   // serial session bit-for-bit, and the arena is empty after every batch.

@@ -35,27 +35,18 @@ TEST(ArenaLeak, EmptyAfterEveryPipelineConfiguration) {
   const auto g = leak_test_graph();
   const auto params = leak_test_params();
 
-  struct Config {
-    std::size_t num_streams;
-    bool device_aggregation;
-  };
-  for (const Config& cfg :
-       {Config{1, false}, Config{2, false}, Config{1, true}, Config{2, true},
-        // Multi-lane pipelines keep several batches' buffers co-resident
-        // mid-run; they too must all be back in the arena at the end.
-        Config{4, false}, Config{8, true}, Config{3, false}}) {
+  // Multi-lane pipelines keep several batches' buffers co-resident
+  // mid-run; they too must all be back in the arena at the end.
+  for (const std::size_t num_streams : {1u, 2u, 4u, 8u, 3u}) {
     device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
     obs::Tracer tracer;
     core::GpClustOptions options;
     options.max_batch_elements = 73;  // several batches per pass
-    options.device_aggregation = cfg.device_aggregation;
-    options.pipeline.num_streams = cfg.num_streams;
+    options.pipeline.num_streams = num_streams;
     options.tracer = &tracer;
     core::GpClust(ctx, params, options).cluster(g);
 
-    EXPECT_EQ(ctx.arena().used(), 0u)
-        << "devagg=" << cfg.device_aggregation
-        << " streams=" << cfg.num_streams;
+    EXPECT_EQ(ctx.arena().used(), 0u) << "streams=" << num_streams;
     EXPECT_EQ(ctx.arena().num_allocations(), 0u);
     EXPECT_GT(ctx.arena().peak(), 0u);
     EXPECT_EQ(tracer.counter("arena_peak_bytes"), ctx.arena().peak());

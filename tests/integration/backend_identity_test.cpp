@@ -1,5 +1,5 @@
 // Cross-backend bit-identity (CLAUDE.md invariant): SerialShingler,
-// GpClust under every batching/async/aggregation configuration, and
+// GpClust under every batch size and stream count, and
 // dist::distributed_cluster at several rank counts all produce the same
 // partition digest for identical ShinglingParams. Complements the
 // parameter sweep in core/equivalence_sweep_test.cpp, which varies params
@@ -58,41 +58,34 @@ TEST_P(BackendIdentity, DeviceConfigurationsMatchSerial) {
 
   struct DeviceConfig {
     std::size_t max_batch_elements;  // 0 = whole graph in one batch
-    bool device_aggregation;
-    std::size_t num_streams = 1;  // 1 == the sync engine
-    u32 agg_shards = 1;
+    std::size_t num_streams = 1;     // 1 == the sync engine
   };
   const DeviceConfig configs[] = {
-      {1, false},      // one element per batch: every list splits
-      {1, true, 2},
-      {97, false},     // prime-sized batches force odd splits
-      {97, false, 2},
-      {97, true},
-      {97, true, 2},
-      {0, false},      // memory-derived batch size (all at once here)
-      {0, true, 2},
-      // DESIGN.md §8 pipeline shapes: multi-lane schedules and sharded
-      // host aggregation must not move a single vertex.
-      {1, false, 4, 4},   // every list splits across lanes
-      {97, false, 4, 16},
-      {97, true, 8, 4},   // device agg ignores shards; streams apply
-      {97, false, 3, 7},  // odd stream count: shared last lane
-      {0, false, 8, 16},  // memory-derived batch size, lane-split
+      {1},      // one element per batch: every list splits
+      {1, 2},
+      {97},     // prime-sized batches force odd splits
+      {97, 2},
+      {0},      // memory-derived batch size (all at once here)
+      {0, 2},
+      // DESIGN.md §8 pipeline shapes: multi-lane schedules must not move
+      // a single vertex.
+      {1, 4},   // every list splits across lanes
+      {97, 4},
+      {97, 8},
+      {97, 3},  // odd stream count: shared last lane
+      {0, 8},   // memory-derived batch size, lane-split
   };
 
   for (const DeviceConfig& cfg : configs) {
     device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
     core::GpClustOptions options;
     options.max_batch_elements = cfg.max_batch_elements;
-    options.device_aggregation = cfg.device_aggregation;
     options.pipeline.num_streams = cfg.num_streams;
-    options.pipeline.agg_shards = cfg.agg_shards;
     auto result = core::GpClust(ctx, params, options).cluster(g);
     result.normalize();
     EXPECT_EQ(result.digest(), expected)
         << "batch=" << cfg.max_batch_elements
-        << " devagg=" << cfg.device_aggregation
-        << " streams=" << cfg.num_streams << " shards=" << cfg.agg_shards;
+        << " streams=" << cfg.num_streams;
   }
 }
 

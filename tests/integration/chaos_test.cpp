@@ -92,7 +92,6 @@ TEST_P(ChaosSchedule, CompletesIdenticallyOrFailsTyped) {
     // Vary the pipeline shape along with the schedule.
     options.max_batch_elements = 16 + knob_rng.next() % 120;
     options.pipeline.num_streams = knob_rng.next() % 2 == 0 ? 2 : 1;
-    options.device_aggregation = knob_rng.next() % 2 == 0;
     options.tracer = &tracer;
     options.fault_plan = &plan;
     options.resilience.mode = mode;

@@ -36,7 +36,9 @@
 //                          write one delta link per batch next to the base
 //                          snapshot (k and signature parameters come from
 //                          the base; --c1/--c2/--reps must match the
-//                          original build for byte-identical compaction)
+//                          original build for byte-identical compaction;
+//                          a --reps that does not rebuild the base is
+//                          refused before any link is written)
 //   --compact              fold base snapshot + delta chain into --out
 //                          (exclusive with --append); with --out equal
 //                          to --base-snapshot the folded links are deleted

@@ -35,9 +35,6 @@
 //   --streams=K            device streams for the batch pipeline (default 1
 //                          = synchronous; 2 = single-lane transfer overlap;
 //                          2L = L batches in flight)
-//   --agg-shards=N         hash-prefix buckets for the CPU-side tuple
-//                          aggregation (default 1 = derived from the
-//                          tuple count)
 //   --device-mb=N          simulated device memory (default 5120)
 //   --report               print the Table-I style component breakdown
 //   --trace-out=PATH       write a chrome://tracing JSON of the run (spans
@@ -109,7 +106,7 @@ int main(int argc, char** argv) {
           "[--seed-mode=kmer|maximal|minhash|spgemm] "
           "[--lsh-bands=N] [--lsh-rows=N] [--out=PATH] "
           "[--engine=gpu|serial] [--s1 N --c1 N --s2 N --c2 N] "
-          "[--streams=K] [--agg-shards=N] "
+          "[--streams=K] "
           "[--components] [--trace-out=PATH] "
           "[--fault-plan=SPEC] [--resilience=off|retry|fallback]\n"
           "fault-plan spec: comma-separated KIND@SITE:IDX with KIND@SITE in "
@@ -170,8 +167,6 @@ int main(int argc, char** argv) {
     core::GpClustOptions options;
     options.pipeline.num_streams =
         static_cast<std::size_t>(args.get_int("streams", 1));
-    options.pipeline.agg_shards =
-        static_cast<u32>(args.get_int("agg-shards", 1));
     options.tracer = tracer_ptr;
     if (!fault_spec.empty()) {
       fault_plan = fault::FaultPlan::parse(fault_spec);
@@ -226,8 +221,7 @@ int main(int argc, char** argv) {
     auto cluster_graph = [&](const graph::CsrGraph& input,
                              core::GpClustReport* report) {
       if (engine == "serial") {
-        return core::SerialShingler(params).cluster(input, nullptr,
-                                                    tracer_ptr);
+        return core::SerialShingler(params).cluster(input, tracer_ptr);
       }
       if (engine != "gpu") throw InvalidArgument("unknown --engine: " + engine);
       core::GpClust gp(ctx, params, options);
