@@ -85,12 +85,12 @@ struct VerifyRun {
 VerifyRun run_build(const seq::SequenceSet& sequences,
                     align::HomologyGraphConfig config, int reps) {
   VerifyRun out;
-  // Best-of-N verify time: the one-core host shares its core with
-  // everything else, so a single run can be 20% off.
+  // Best-of-N verify time: the host is shared with other work, so a
+  // single run can be 20% off.
   for (int rep = 0; rep < reps; ++rep) {
     obs::Tracer tracer;
     config.tracer = &tracer;
-    config.num_threads = 1;  // one-core host: keep timings comparable
+    config.num_threads = 1;  // single-threaded: keep timings comparable
     VerifyRun run;
     run.graph = align::build_homology_graph(sequences, config, &run.stats);
     run.seed_s = tracer.host_total("homology.seed").value;

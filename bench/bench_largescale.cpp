@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nclusters: %s\n", clustering.summary().c_str());
   util::AsciiTable table({"metric", "value"});
-  table.add_row({"wall time (this host, 1 core)",
+  table.add_row({"wall time (this host)",
                  util::AsciiTable::fmt(wall_seconds, 1) + " s"});
   table.add_row({"modeled device makespan",
                  util::AsciiTable::fmt(report.device_makespan, 1) + " s"});

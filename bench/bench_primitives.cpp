@@ -10,7 +10,6 @@
 #include "core/minhash.hpp"
 #include "core/shingle.hpp"
 #include "device/primitives.hpp"
-#include "device/simt.hpp"
 #include "util/rng.hpp"
 
 namespace gpclust {
@@ -122,49 +121,6 @@ void BM_SerialMinSImagesHeap(benchmark::State& state) {
                           static_cast<i64>(degree));
 }
 BENCHMARK(BM_SerialMinSImagesHeap)->Arg(8)->Arg(44)->Arg(73)->Arg(512);
-
-void BM_SimtSelectKernel(benchmark::State& state) {
-  // The top-s selection kernel of Figure 4 as an explicit SIMT launch:
-  // lane i decides whether its slot is inside its segment. The divergence
-  // counter shows how the paper's §II warp-serialization cost depends on
-  // segment-length irregularity (avg degree given by the range argument).
-  const std::size_t avg_degree = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kSegments = 4096;
-  constexpr u32 s = 2;
-  auto& ctx = bench_ctx();
-  util::Xoshiro256 rng(6);
-  std::vector<u64> offsets = {0};
-  for (std::size_t i = 0; i < kSegments; ++i) {
-    offsets.push_back(offsets.back() + 1 + rng.next_below(2 * avg_degree));
-  }
-  device::DeviceVector<u64> perm(ctx, offsets.back());
-  device::DeviceVector<u64> minima(ctx, kSegments * s);
-  auto perm_span = perm.device_span();
-  auto out_span = minima.device_span();
-  const auto offs = offsets;  // captured by the kernel
-
-  double divergence = 0.0;
-  for (auto _ : state) {
-    device::LaunchConfig cfg;
-    cfg.num_threads = kSegments * s;
-    const auto stats = device::simt_launch(
-        ctx, cfg, [&](const device::ThreadIdx& idx, device::LaneCtx& lane) {
-          const std::size_t seg = idx.global / s;
-          const u64 pos = offs[seg] + (idx.global % s);
-          if (lane.branch(pos < offs[seg + 1])) {
-            out_span[idx.global] = perm_span[pos];
-          } else {
-            out_span[idx.global] = core::kNoValue;
-          }
-        });
-    divergence = stats.divergence_rate();
-    benchmark::DoNotOptimize(out_span.data());
-  }
-  state.counters["divergence"] = divergence;
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(kSegments * s));
-}
-BENCHMARK(BM_SimtSelectKernel)->Arg(2)->Arg(8)->Arg(44)->Arg(512);
 
 void BM_HashShingle(benchmark::State& state) {
   const std::vector<u64> minima = {123456789ULL, 987654321ULL};

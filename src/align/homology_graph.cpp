@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "align/prefilter.hpp"
-#include "align/spgemm_seeds.hpp"
 #include "seq/alphabet.hpp"
 #include "util/timer.hpp"
 
@@ -83,9 +82,8 @@ SeedMode parse_seed_mode(const std::string& name) {
   if (name == "kmer") return SeedMode::KmerCount;
   if (name == "maximal") return SeedMode::MaximalMatch;
   if (name == "minhash") return SeedMode::MinHashLsh;
-  if (name == "spgemm") return SeedMode::SpGemm;
   throw InvalidArgument("unknown seed mode: " + name +
-                        " (expected kmer | maximal | minhash | spgemm)");
+                        " (expected kmer | maximal | minhash)");
 }
 
 std::string_view seed_mode_name(SeedMode mode) {
@@ -96,8 +94,6 @@ std::string_view seed_mode_name(SeedMode mode) {
       return "maximal";
     case SeedMode::MinHashLsh:
       return "minhash";
-    case SeedMode::SpGemm:
-      return "spgemm";
   }
   return "?";
 }
@@ -195,7 +191,7 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
     auto verify = [&](std::size_t lo, std::size_t hi) {
       // Per-worker state: pairs arrive sorted by query id, so a
       // single-slot profile cache serves nearly every pair in the chunk.
-      QueryProfileCache cache;
+      LruQueryProfileCache cache(1);
       SimdCounters simd_counters;
       std::size_t score_runs = 0;
       std::size_t traced_runs = 0;
@@ -263,10 +259,6 @@ graph::CsrGraph build_homology_graph(const seq::SequenceSet& sequences,
       case SeedMode::MinHashLsh:
         pairs = find_candidate_pairs_lsh(sequences, config.lsh, tracer,
                                          &seed_peak_bytes);
-        break;
-      case SeedMode::SpGemm:
-        pairs = find_candidate_pairs_spgemm(sequences, config.seeds,
-                                            &seed_peak_bytes);
         break;
       case SeedMode::KmerCount:
         pairs = find_candidate_pairs(sequences, config.seeds,

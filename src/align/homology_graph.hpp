@@ -3,8 +3,8 @@
 // structured as an explicit three-stage cascade (DESIGN.md §11):
 //
 //   1. candidate stream — the sort-based k-mer index, suffix-array
-//      maximal matches, the banded MinHash/LSH sketch stage (§14), or the
-//      SpGEMM ablation emits promising pairs;
+//      maximal matches or the banded MinHash/LSH sketch stage (§14) emits
+//      promising pairs;
 //   2. exact admissible prefilter — length-bound rejection that provably
 //      cannot change the edge set, plus the opt-in heuristic tier;
 //   3. batched score-only verification — the survivors are scored on one
@@ -27,17 +27,16 @@ namespace gpclust::align {
 
 /// How promising pairs are generated before Smith-Waterman verification.
 /// Only the candidate set depends on the mode — stages 2 and 3 are
-/// identical, so KmerCount/SpGemm (same exact pair set) yield bit-identical
-/// edge sets, and MinHashLsh trades recall for candidate volume.
+/// identical, and MinHashLsh trades recall for candidate volume. (The
+/// SpGEMM formulation of the exact stage, align/spgemm_seeds, is a bench
+/// ablation fed to verify_candidate_pairs directly, not a mode.)
 enum class SeedMode {
   KmerCount,     ///< shared distinct k-mers (simple, default)
   MaximalMatch,  ///< suffix-array maximal exact matches (pGraph's heuristic)
   MinHashLsh,    ///< banded min-hash signatures + LSH buckets (DESIGN.md §14)
-  SpGemm,        ///< sparse A * A^T ablation of the exact path (§14)
 };
 
-/// Parses "kmer" | "maximal" | "minhash" | "spgemm"; throws
-/// InvalidArgument otherwise.
+/// Parses "kmer" | "maximal" | "minhash"; throws InvalidArgument otherwise.
 SeedMode parse_seed_mode(const std::string& name);
 std::string_view seed_mode_name(SeedMode mode);
 
@@ -59,7 +58,7 @@ struct HomologyPrefilterConfig {
 
 struct HomologyGraphConfig {
   SeedMode seed_mode = SeedMode::KmerCount;
-  KmerIndexConfig seeds;   ///< used when seed_mode == KmerCount or SpGemm
+  KmerIndexConfig seeds;                ///< used when seed_mode == KmerCount
   MaximalMatchConfig maximal_matches;   ///< used when seed_mode == MaximalMatch
   LshSeedConfig lsh;                    ///< used when seed_mode == MinHashLsh
   AlignmentParams alignment;

@@ -1,6 +1,7 @@
 #include "align/kmer_index.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -11,25 +12,43 @@ namespace gpclust::align {
 
 namespace {
 
-/// One (k-mer, sequence) occurrence, flat for sort-based indexing.
-struct KmerPosting {
-  u64 code;
-  u32 seq;
-  u32 pos;  ///< first occurrence of the k-mer in the sequence
-};
-
-/// One shared seed between a pair, packed for sort-based aggregation.
-struct PairSeed {
-  u64 key;   ///< (a << 32) | b, a < b
-  i32 diag;  ///< pos_in_a - pos_in_b of the seed's first occurrences
-};
-
 /// Pair-seed buckets: one per first sequence, up to this many.
 constexpr std::size_t kMaxSeedBuckets = std::size_t{1} << 16;
 /// Below this many postings per worker, emit seeds on the calling thread.
 constexpr std::size_t kMinPostingsPerWorker = std::size_t{1} << 14;
 
 }  // namespace
+
+std::vector<CandidatePair> promote_seed_runs(std::span<PairSeed> seeds,
+                                             std::size_t min_shared_kmers) {
+  if (!std::is_sorted(seeds.begin(), seeds.end())) {
+    std::sort(seeds.begin(), seeds.end());
+  }
+  std::vector<CandidatePair> pairs;
+  for (std::size_t lo = 0; lo < seeds.size();) {
+    std::size_t hi = lo;
+    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
+    const u32 count = static_cast<u32>(hi - lo);
+    if (count >= min_shared_kmers) {
+      i32 mode_diag = seeds[lo].diag;
+      std::size_t mode_len = 0;
+      for (std::size_t i = lo; i < hi;) {
+        std::size_t j = i;
+        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
+        if (j - i > mode_len) {
+          mode_len = j - i;
+          mode_diag = seeds[i].diag;
+        }
+        i = j;
+      }
+      pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
+                       static_cast<u32>(seeds[lo].key & 0xffffffffu), count,
+                       mode_diag});
+    }
+    lo = hi;
+  }
+  return pairs;
+}
 
 std::vector<CandidatePair> find_candidate_pairs(
     const seq::SequenceSet& sequences, const KmerIndexConfig& config,
@@ -102,39 +121,12 @@ std::vector<CandidatePair> find_candidate_pairs(
         seeds = std::make_unique_for_overwrite<PairSeed[]>(total);
         return seeds.get();
       },
-      [](const PairSeed& x, const PairSeed& y) {
-        return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
-      });
+      std::less<PairSeed>());
   note_peak(num_postings * sizeof(KmerPosting) +
             num_seeds * sizeof(PairSeed));
 
-  // Scan runs of equal key: run length = shared-seed count; the pair's
-  // representative diagonal is the mode (smallest diagonal on ties, which
-  // the ascending sort yields for free).
-  std::vector<CandidatePair> pairs;
-  for (std::size_t lo = 0; lo < num_seeds;) {
-    std::size_t hi = lo;
-    while (hi < num_seeds && seeds[hi].key == seeds[lo].key) ++hi;
-    const u32 count = static_cast<u32>(hi - lo);
-    if (count >= config.min_shared_kmers) {
-      i32 mode_diag = seeds[lo].diag;
-      std::size_t mode_len = 0;
-      for (std::size_t i = lo; i < hi;) {
-        std::size_t j = i;
-        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
-        if (j - i > mode_len) {
-          mode_len = j - i;
-          mode_diag = seeds[i].diag;
-        }
-        i = j;
-      }
-      pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
-                       static_cast<u32>(seeds[lo].key & 0xffffffffu), count,
-                       mode_diag});
-    }
-    lo = hi;
-  }
-  // seeds are sorted by key, so `pairs` is already (a, b)-ordered.
+  std::vector<CandidatePair> pairs = promote_seed_runs(
+      std::span<PairSeed>(seeds.get(), num_seeds), config.min_shared_kmers);
   note_peak(num_postings * sizeof(KmerPosting) +
             num_seeds * sizeof(PairSeed) +
             pairs.size() * sizeof(CandidatePair));

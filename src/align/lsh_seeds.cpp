@@ -29,6 +29,36 @@ std::size_t shared_codes(std::span<const u64> a, std::span<const u64> b) {
 
 }  // namespace
 
+std::vector<CandidatePair> recount_band_candidates(
+    const seq::SequenceSet& sequences, const LshSeedConfig& config,
+    std::span<const u64> keys, std::span<const u32> band_hits,
+    std::size_t* scratch_bytes) {
+  // Recompute each side's sorted distinct codes transiently (two scratch
+  // lists, reused pair to pair — keys are (a, b)-sorted, so the `a` side
+  // is usually cached).
+  std::vector<CandidatePair> pairs;
+  std::vector<u64> codes_a, codes_b;
+  u32 cached_a = ~0u;
+  for (std::size_t idx = 0; idx < keys.size(); ++idx) {
+    if (!band_hits.empty() && band_hits[idx] < config.min_band_hits) continue;
+    const u32 a = static_cast<u32>(keys[idx] >> 32);
+    const u32 b = static_cast<u32>(keys[idx] & 0xffffffffu);
+    if (a != cached_a) {
+      seq::distinct_kmer_codes(sequences[a].residues, config.k, codes_a);
+      cached_a = a;
+    }
+    seq::distinct_kmer_codes(sequences[b].residues, config.k, codes_b);
+    const std::size_t shared = shared_codes(codes_a, codes_b);
+    if (shared >= config.min_shared_kmers) {
+      pairs.push_back({a, b, static_cast<u32>(shared), 0});
+    }
+  }
+  if (scratch_bytes != nullptr) {
+    *scratch_bytes = (codes_a.size() + codes_b.size()) * sizeof(u64);
+  }
+  return pairs;
+}
+
 std::vector<CandidatePair> find_candidate_pairs_lsh(
     const seq::SequenceSet& sequences, const LshSeedConfig& config,
     obs::Tracer* tracer, std::size_t* peak_candidate_bytes) {
@@ -144,32 +174,13 @@ std::vector<CandidatePair> find_candidate_pairs_lsh(
   signatures.clear();
   signatures.shrink_to_fit();
 
-  // Exact recount over the survivors: recompute each side's sorted
-  // distinct codes transiently (two scratch lists, reused pair to pair —
-  // candidates are (a, b)-sorted so the `a` side is usually cached).
-  std::vector<CandidatePair> pairs;
-  std::vector<u64> codes_a, codes_b;
-  u32 cached_a = ~0u;
-  for (std::size_t idx = 0; idx < accum.size(); ++idx) {
-    const u64 key = accum[idx];
-    if (count_hits && accum_hits[idx] < config.min_band_hits) continue;
-    const u32 a = static_cast<u32>(key >> 32);
-    const u32 b = static_cast<u32>(key & 0xffffffffu);
-    if (a != cached_a) {
-      seq::distinct_kmer_codes(sequences[a].residues, config.k, codes_a);
-      cached_a = a;
-    }
-    seq::distinct_kmer_codes(sequences[b].residues, config.k, codes_b);
-    const std::size_t shared = shared_codes(codes_a, codes_b);
-    if (shared >= config.min_shared_kmers) {
-      pairs.push_back({a, b, static_cast<u32>(shared), 0});
-    }
-  }
+  // Exact recount over the survivors.
+  std::size_t recount_bytes = 0;
+  std::vector<CandidatePair> pairs = recount_band_candidates(
+      sequences, config, accum, accum_hits, &recount_bytes);
   note_peak(accum.size() * sizeof(u64) + accum_hits.size() * sizeof(u32) +
-            pairs.size() * sizeof(CandidatePair) +
-            (codes_a.size() + codes_b.size()) * sizeof(u64));
+            pairs.size() * sizeof(CandidatePair) + recount_bytes);
   if (peak_candidate_bytes != nullptr) *peak_candidate_bytes = peak_bytes;
-  // accum is pair-key-sorted, so `pairs` is already (a, b)-ordered.
   return pairs;
 }
 

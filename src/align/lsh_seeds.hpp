@@ -17,6 +17,7 @@
 // (num_bands, rows_per_band) — the frontier is measured by
 // bench_graph_scale and recorded in EXPERIMENTS.md.
 
+#include <span>
 #include <vector>
 
 #include "align/kmer_index.hpp"
@@ -54,6 +55,21 @@ struct LshSeedConfig {
     GPCLUST_CHECK(max_bucket_size >= 2, "max_bucket_size must be >= 2");
   }
 };
+
+/// The band-hit -> candidate tail of both LSH seed paths
+/// (find_candidate_pairs_lsh and the streaming-ingest session). `keys` are
+/// pair keys (a << 32 | b, a < b), ascending and distinct; a key is
+/// skipped when `band_hits` is non-empty and its parallel entry is below
+/// config.min_band_hits. Each remaining pair is recounted exactly over
+/// both sides' sorted distinct codes (the `a` side cached from key to key)
+/// and emitted, (a, b)-ascending, when it shares at least
+/// config.min_shared_kmers codes; `diag` is 0. `scratch_bytes`, when
+/// non-null, receives the final bytes of the two code lists (the stage's
+/// peak accounting counts them).
+std::vector<CandidatePair> recount_band_candidates(
+    const seq::SequenceSet& sequences, const LshSeedConfig& config,
+    std::span<const u64> keys, std::span<const u32> band_hits = {},
+    std::size_t* scratch_bytes = nullptr);
 
 /// Emits candidate pairs (a < b, (a, b)-ascending, deduplicated) whose
 /// banded min-hash signatures collide. `shared_kmers` is the exact

@@ -5,10 +5,9 @@
 // so the inner loop is a single vector load per stripe instead of a
 // scatter of matrix lookups. One profile serves every candidate pair that
 // shares the query, which is why the homology-graph verifier sorts its
-// pairs by query id and runs them through a single-slot cache.
+// pairs by query id and runs them through a capacity-1 cache.
 
 #include <list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,38 +51,13 @@ class QueryProfile {
   std::vector<u16> prof16_;
 };
 
-/// Single-slot profile cache. Candidate pairs arrive sorted by query id,
-/// so consecutive verifications overwhelmingly share one query; a deeper
-/// cache would only add bookkeeping. Not thread-safe by design — each
-/// verification worker owns one.
-class QueryProfileCache {
- public:
-  const QueryProfile& get(u32 query_id, std::string_view query) {
-    if (!slot_.has_value() || id_ != query_id) {
-      slot_.emplace(query);
-      id_ = query_id;
-      ++builds_;
-    }
-    return *slot_;
-  }
-
-  /// Number of profile constructions (cache misses) so far.
-  u64 builds() const { return builds_; }
-
- private:
-  u32 id_ = 0;
-  u64 builds_ = 0;
-  std::optional<QueryProfile> slot_;
-};
-
-/// Capacity-bounded LRU profile cache keyed by sequence id — the serving
-/// layer's counterpart of the single-slot cache above. Batch verification
-/// sees one query many times in a row (single slot suffices); a query
-/// service sees arbitrary queries that keep re-hitting the same small set
-/// of family representatives, so profiles are built for the
-/// *representatives* and an LRU over them turns the per-alignment profile
-/// build into a hit after warm-up. Not thread-safe — each serve worker
-/// owns one (same ownership rule as QueryProfileCache).
+/// Capacity-bounded LRU profile cache keyed by sequence id. Batch
+/// verification sees one query many times in a row, so each verify worker
+/// owns a capacity-1 cache; a query service sees arbitrary queries that
+/// keep re-hitting the same small set of family representatives, so its
+/// profiles are built for the *representatives* and a deeper LRU over
+/// them turns the per-alignment profile build into a hit after warm-up.
+/// Not thread-safe — each worker owns one.
 class LruQueryProfileCache {
  public:
   /// `capacity` >= 1 profiles are retained (checked).

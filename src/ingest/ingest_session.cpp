@@ -5,7 +5,7 @@
 
 #include "core/serial_pclust.hpp"
 #include "graph/union_find.hpp"
-#include "seq/alphabet.hpp"
+#include "seq/kmer_postings.hpp"
 #include "store/signature.hpp"
 #include "util/group_by.hpp"
 #include "util/timer.hpp"
@@ -16,33 +16,6 @@ namespace {
 
 constexpr u64 pair_key(u32 a, u32 b) {
   return (static_cast<u64>(a) << 32) | b;
-}
-
-/// One shared seed of a new-involving pair — same packing the from-scratch
-/// k-mer index aggregates (kmer_index.cpp), so run counts and mode
-/// diagonals come out identical.
-struct PairSeed {
-  u64 key;
-  i32 diag;
-};
-
-/// Exact distinct-k-mer intersection of two sorted code lists (the LSH
-/// recount, lsh_seeds.cpp).
-std::size_t shared_codes(std::span<const u64> a, std::span<const u64> b) {
-  std::size_t shared = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++shared;
-      ++i;
-      ++j;
-    }
-  }
-  return shared;
 }
 
 /// Rolls the sequence append back unless the batch commits — the strong
@@ -64,7 +37,7 @@ IngestSession::IngestSession(IngestConfig config)
   GPCLUST_CHECK(config_.graph.seed_mode == align::SeedMode::KmerCount ||
                     config_.graph.seed_mode == align::SeedMode::MinHashLsh,
                 "ingest supports the kmer and minhash seed modes (maximal "
-                "and spgemm have no incremental index seam)");
+                "has no incremental index seam)");
   GPCLUST_CHECK(!config_.graph.prefilter.enabled,
                 "the heuristic prefilter tier is not append-consistent; "
                 "disable it for ingest");
@@ -73,6 +46,11 @@ IngestSession::IngestSession(IngestConfig config)
   GPCLUST_CHECK(config_.engine == ClusterEngine::Serial ||
                     config_.device != nullptr,
                 "the Device engine needs a DeviceContext");
+  if (config_.graph.seed_mode == align::SeedMode::MinHashLsh) {
+    const align::LshSeedConfig& lsh = config_.graph.lsh;
+    lsh.validate();
+    sketch_hashes_.emplace(lsh.num_bands * lsh.rows_per_band, lsh.seed);
+  }
   if (config_.graph.tracer == nullptr) config_.graph.tracer = config_.tracer;
   if (config_.device_options.tracer == nullptr) {
     config_.device_options.tracer = config_.tracer;
@@ -154,34 +132,24 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
   GPCLUST_CHECK(cfg.k >= 2 && cfg.k <= 12, "k must be in [2, 12]");
   SeedOutput out;
 
-  // Per-sequence distinct (code, first pos) postings of the batch — the
-  // same in-place sort + unique the from-scratch index uses.
-  std::vector<Posting> fresh;
-  for (std::size_t i = first_new; i < sequences_.size(); ++i) {
-    const std::string& r = sequences_[i].residues;
-    if (r.size() < cfg.k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(fresh.size());
-    for (std::size_t pos = 0; pos + cfg.k <= r.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < cfg.k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
-      }
-      fresh.push_back({code, static_cast<u32>(i), static_cast<u32>(pos)});
-    }
-    std::sort(fresh.begin() + start, fresh.end(),
-              [](const Posting& x, const Posting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    fresh.erase(std::unique(fresh.begin() + start, fresh.end(),
-                            [](const Posting& x, const Posting& y) {
-                              return x.code == y.code;
-                            }),
-                fresh.end());
-  }
-  const auto by_code_seq = [](const Posting& x, const Posting& y) {
+  // The batch's distinct first-occurrence postings, grouped by (code, seq)
+  // with the from-scratch index's own group-by, then shifted to session
+  // ids (a uniform shift keeps the order).
+  std::vector<align::KmerPosting> fresh;
+  seq::group_kmer_postings<align::KmerPosting>(
+      sequences_.size() - first_new, cfg.k,
+      [&](std::size_t i) {
+        return std::string_view(sequences_[first_new + i].residues);
+      },
+      [&](std::size_t total) {
+        fresh.resize(total);
+        return fresh.data();
+      });
+  for (align::KmerPosting& p : fresh) p.seq += static_cast<u32>(first_new);
+  const auto by_code_seq = [](const align::KmerPosting& x,
+                              const align::KmerPosting& y) {
     return std::pair(x.code, x.seq) < std::pair(y.code, y.seq);
   };
-  std::sort(fresh.begin(), fresh.end(), by_code_seq);
 
   // Merge into the standing (code, seq)-sorted array. Old ids < new ids,
   // so within a code run the old prefix / new suffix split is positional.
@@ -195,7 +163,7 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
   // dirties its old-old pairs (append-monotone: old-old candidacy can only
   // be lost, never gained — a code shared by two old sequences already
   // counted both before the batch).
-  std::vector<PairSeed> seeds;
+  std::vector<align::PairSeed> seeds;
   for (std::size_t flo = 0; flo < fresh.size();) {
     std::size_t fhi = flo;
     while (fhi < fresh.size() && fresh[fhi].code == fresh[flo].code) ++fhi;
@@ -203,8 +171,10 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
     flo = fhi;
 
     const auto run = std::equal_range(
-        merged.begin(), merged.end(), Posting{code, 0, 0},
-        [](const Posting& x, const Posting& y) { return x.code < y.code; });
+        merged.begin(), merged.end(), align::KmerPosting{code, 0, 0},
+        [](const align::KmerPosting& x, const align::KmerPosting& y) {
+          return x.code < y.code;
+        });
     const std::size_t lo = static_cast<std::size_t>(run.first - merged.begin());
     const std::size_t hi =
         static_cast<std::size_t>(run.second - merged.begin());
@@ -233,35 +203,8 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
     }
   }
 
-  // Aggregate seeds exactly as the from-scratch index does: sort by
-  // (key, diag), promote runs of >= min_shared_kmers, mode diagonal with
-  // smallest-on-ties from the ascending order.
-  std::sort(seeds.begin(), seeds.end(), [](const PairSeed& x,
-                                           const PairSeed& y) {
-    return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
-  });
-  for (std::size_t lo = 0; lo < seeds.size();) {
-    std::size_t hi = lo;
-    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
-    const u32 count = static_cast<u32>(hi - lo);
-    if (count >= cfg.min_shared_kmers) {
-      i32 mode_diag = seeds[lo].diag;
-      std::size_t mode_len = 0;
-      for (std::size_t i = lo; i < hi;) {
-        std::size_t j = i;
-        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
-        if (j - i > mode_len) {
-          mode_len = j - i;
-          mode_diag = seeds[i].diag;
-        }
-        i = j;
-      }
-      out.pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
-                           static_cast<u32>(seeds[lo].key & 0xffffffffu),
-                           count, mode_diag});
-    }
-    lo = hi;
-  }
+  // The from-scratch index's aggregation: (key, diag) order, then runs.
+  out.pairs = align::promote_seed_runs(seeds, cfg.min_shared_kmers);
 
   std::sort(out.dirty_keys.begin(), out.dirty_keys.end());
   out.dirty_keys.erase(
@@ -273,7 +216,6 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
 IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
     std::size_t first_new) const {
   const align::LshSeedConfig& cfg = config_.graph.lsh;
-  cfg.validate();
   const u64 width = cfg.num_bands * cfg.rows_per_band;
   SeedOutput out;
 
@@ -357,31 +299,20 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
     }
   }
 
-  // Band-hit threshold, then the exact recount — identical to the
-  // from-scratch tail (lsh_seeds.cpp), including the ascending pair order
-  // and the cached `a`-side code list.
+  // One (pair, band hits) entry per colliding pair, then the from-scratch
+  // path's band-hit threshold and exact recount.
   std::sort(hits.begin(), hits.end());
-  std::vector<u64> codes_a, codes_b;
-  u32 cached_a = ~0u;
+  std::vector<u64> keys;
+  std::vector<u32> band_hits;
   for (std::size_t lo = 0; lo < hits.size();) {
     std::size_t hi = lo;
     while (hi < hits.size() && hits[hi] == hits[lo]) ++hi;
-    const u64 key = hits[lo];
-    const u32 band_hits = static_cast<u32>(hi - lo);
+    keys.push_back(hits[lo]);
+    band_hits.push_back(static_cast<u32>(hi - lo));
     lo = hi;
-    if (band_hits < cfg.min_band_hits) continue;
-    const u32 a = static_cast<u32>(key >> 32);
-    const u32 b = static_cast<u32>(key & 0xffffffffu);
-    if (a != cached_a) {
-      seq::distinct_kmer_codes(sequences_[a].residues, cfg.k, codes_a);
-      cached_a = a;
-    }
-    seq::distinct_kmer_codes(sequences_[b].residues, cfg.k, codes_b);
-    const std::size_t shared = shared_codes(codes_a, codes_b);
-    if (shared >= cfg.min_shared_kmers) {
-      out.pairs.push_back({a, b, static_cast<u32>(shared), 0});
-    }
   }
+  out.pairs =
+      align::recount_band_candidates(sequences_, cfg, keys, band_hits);
 
   std::sort(out.dirty_keys.begin(), out.dirty_keys.end());
   out.dirty_keys.erase(
@@ -391,7 +322,7 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
 }
 
 bool IngestSession::still_candidate_kmer(
-    u32 a, u32 b, const std::vector<Posting>& postings) const {
+    u32 a, u32 b, const std::vector<align::KmerPosting>& postings) const {
   const align::KmerIndexConfig& cfg = config_.graph.seeds;
   std::vector<u64> codes_a, codes_b;
   seq::distinct_kmer_codes(sequences_[a].residues, cfg.k, codes_a);
@@ -408,8 +339,10 @@ bool IngestSession::still_candidate_kmer(
       // the same [2, max] window the from-scratch run applies globally.
       const u64 code = codes_a[i];
       const auto run = std::equal_range(
-          postings.begin(), postings.end(), Posting{code, 0, 0},
-          [](const Posting& x, const Posting& y) { return x.code < y.code; });
+          postings.begin(), postings.end(), align::KmerPosting{code, 0, 0},
+          [](const align::KmerPosting& x, const align::KmerPosting& y) {
+            return x.code < y.code;
+          });
       const std::size_t occ =
           static_cast<std::size_t>(run.second - run.first);
       if (occ >= 2 && occ <= cfg.max_kmer_occurrences) {
@@ -481,11 +414,6 @@ IngestBatchStats IngestSession::ingest_batch(const seq::SequenceSet& batch,
   const std::size_t n = first_new + batch.size();
   GPCLUST_CHECK(n <= 0xffffffffull, "sequence ids overflow u32");
   const bool lsh = config_.graph.seed_mode == align::SeedMode::MinHashLsh;
-  if (lsh && !sketch_hashes_) {
-    sketch_hashes_.emplace(
-        config_.graph.lsh.num_bands * config_.graph.lsh.rows_per_band,
-        config_.graph.lsh.seed);
-  }
 
   sequences_.insert(sequences_.end(), batch.begin(), batch.end());
   SequenceRollback rollback{sequences_, first_new};

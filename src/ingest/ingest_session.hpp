@@ -32,9 +32,9 @@
 // re-shingle; the probability is the same ~2^-64 the from-scratch
 // pipeline already accepts.
 //
-// Modes not supported: MaximalMatch/SpGemm seeding (no incremental index
-// seam) and the heuristic prefilter tier (its shared-seed threshold is
-// not append-consistent); both are rejected at construction.
+// Modes not supported: MaximalMatch seeding (no incremental index seam)
+// and the heuristic prefilter tier (its shared-seed threshold is not
+// append-consistent); both are rejected at construction.
 
 #include <optional>
 #include <vector>
@@ -159,11 +159,6 @@ class IngestSession {
   store::FamilyStore store() const;
 
  private:
-  struct Posting {
-    u64 code;
-    u32 seq;
-    u32 pos;
-  };
   struct BandEntry {
     u64 key;
     u32 band;
@@ -172,7 +167,7 @@ class IngestSession {
   struct SeedOutput {
     std::vector<align::CandidatePair> pairs;  ///< new-involving, (a,b)-asc
     std::vector<u64> dirty_keys;              ///< old-old (a<<32|b), sorted
-    std::vector<Posting> merged_postings;     ///< KmerCount staging
+    std::vector<align::KmerPosting> merged_postings;  ///< KmerCount staging
     std::vector<BandEntry> merged_entries;    ///< MinHashLsh staging
     std::vector<u64> new_signatures;          ///< MinHashLsh staging
   };
@@ -189,11 +184,14 @@ class IngestSession {
                                     u64 chain_index) const;
   SeedOutput incremental_seed_kmer(std::size_t first_new) const;
   SeedOutput incremental_seed_lsh(std::size_t first_new) const;
-  bool still_candidate_kmer(u32 a, u32 b,
-                            const std::vector<Posting>& postings) const;
+  bool still_candidate_kmer(
+      u32 a, u32 b, const std::vector<align::KmerPosting>& postings) const;
   bool still_candidate_lsh(u32 a, u32 b, const std::vector<u64>& signatures,
                            const std::vector<BandEntry>& entries) const;
   core::Clustering cluster_graph(const graph::CsrGraph& g) const;
+
+  /// Pair-level seed tests (tests/ingest) call the seed stage directly.
+  friend struct IngestSeedProbe;
 
   IngestConfig config_;
   seq::SequenceSet sequences_;
@@ -202,10 +200,10 @@ class IngestSession {
   std::vector<graph::Edge> edges_;
 
   // Standing seed index (exactly one populated, per config_.graph.seed_mode).
-  std::vector<Posting> postings_;      ///< sorted by (code, seq)
+  std::vector<align::KmerPosting> postings_;  ///< sorted by (code, seq)
   std::vector<BandEntry> entries_;     ///< sorted by (band, key, seq)
   std::vector<u64> signatures_;        ///< per-seq min-hash rows (LSH width)
-  std::optional<seq::SketchHashes> sketch_hashes_;
+  std::optional<seq::SketchHashes> sketch_hashes_;  ///< MinHashLsh only
 
   /// Pre-batch snapshot cache for ingest_with_delta chains, and its
   /// snapshot CRC (the next link's base_crc).

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace gpclust::util {
@@ -23,28 +24,48 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool CliArgs::has(const std::string& name) const {
+  return find(name) != nullptr;
+}
+
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback) const {
-  auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 i64 CliArgs::get_int(const std::string& name, i64 fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : std::strtoll(value->c_str(), nullptr, 10);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : std::strtod(value->c_str(), nullptr);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+void CliArgs::reject_unknown() const {
+  bool unknown = false;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) > 0) continue;
+    std::fprintf(stderr,
+                 "error: unused flag --%s (unknown, or ignored in this mode)\n",
+                 name.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
 }
 
 }  // namespace gpclust::util

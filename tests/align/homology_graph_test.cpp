@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "align/spgemm_seeds.hpp"
 #include "device/device_context.hpp"
 #include "seq/family_model.hpp"
 
@@ -279,11 +280,12 @@ TEST(HomologyGraphSeedMode, ParseAndNameRoundTrip) {
   EXPECT_EQ(parse_seed_mode("kmer"), SeedMode::KmerCount);
   EXPECT_EQ(parse_seed_mode("maximal"), SeedMode::MaximalMatch);
   EXPECT_EQ(parse_seed_mode("minhash"), SeedMode::MinHashLsh);
-  EXPECT_EQ(parse_seed_mode("spgemm"), SeedMode::SpGemm);
   for (const auto mode : {SeedMode::KmerCount, SeedMode::MaximalMatch,
-                          SeedMode::MinHashLsh, SeedMode::SpGemm}) {
+                          SeedMode::MinHashLsh}) {
     EXPECT_EQ(parse_seed_mode(std::string(seed_mode_name(mode))), mode);
   }
+  // SpGEMM is a bench ablation (align/spgemm_seeds), not a seed mode.
+  EXPECT_THROW(parse_seed_mode("spgemm"), InvalidArgument);
   EXPECT_THROW(parse_seed_mode("lsh"), InvalidArgument);
   EXPECT_THROW(parse_seed_mode(""), InvalidArgument);
 }
@@ -320,17 +322,23 @@ TEST(HomologyGraphSeedMode, DefaultKmerEdgeSetIsPinned) {
 }
 
 TEST(HomologyGraphSeedMode, SpGemmEmitsBitIdenticalEdges) {
+  // The SpGEMM ablation feeds stages 2 + 3 directly, the way
+  // bench_graph_scale runs it: same candidates, same edge set.
   for (const u64 seed : {u64{7}, u64{1234}}) {
     const auto mg = seed_mode_workload(seed);
-    HomologyGraphConfig kmer_cfg;
-    kmer_cfg.num_threads = 1;
-    HomologyGraphConfig spgemm_cfg = kmer_cfg;
-    spgemm_cfg.seed_mode = SeedMode::SpGemm;
-    HomologyGraphStats ks, ss;
-    const u64 kd = build_homology_graph(mg.sequences, kmer_cfg, &ks).digest();
-    const u64 sd = build_homology_graph(mg.sequences, spgemm_cfg, &ss).digest();
-    EXPECT_EQ(sd, kd) << "seed " << seed;
-    EXPECT_EQ(ss.num_candidate_pairs, ks.num_candidate_pairs);
+    HomologyGraphConfig cfg;
+    cfg.num_threads = 1;
+    HomologyGraphStats ks;
+    const u64 kd = build_homology_graph(mg.sequences, cfg, &ks).digest();
+    const auto pairs = find_candidate_pairs_spgemm(mg.sequences, cfg.seeds);
+    const auto accepted = verify_candidate_pairs(mg.sequences, pairs, cfg);
+    graph::EdgeList edges(mg.sequences.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (accepted[i]) edges.add(pairs[i].a, pairs[i].b);
+    }
+    EXPECT_EQ(graph::CsrGraph::from_edge_list(std::move(edges)).digest(), kd)
+        << "seed " << seed;
+    EXPECT_EQ(pairs.size(), ks.num_candidate_pairs);
   }
 }
 
@@ -357,8 +365,7 @@ TEST(HomologyGraphSeedMode, MinHashDigestStableAcrossThreadsAndBackends) {
 
 TEST(HomologyGraphSeedMode, SeedPeakBytesReportedAndTraced) {
   const auto mg = seed_mode_workload(1234);
-  for (const auto mode : {SeedMode::KmerCount, SeedMode::MinHashLsh,
-                          SeedMode::SpGemm}) {
+  for (const auto mode : {SeedMode::KmerCount, SeedMode::MinHashLsh}) {
     obs::Tracer tracer;
     HomologyGraphConfig cfg;
     cfg.seed_mode = mode;

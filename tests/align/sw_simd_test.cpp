@@ -141,7 +141,9 @@ TEST(SwSimd, ProfileReuseGivesSameResultAsOneShot) {
 }
 
 TEST(SwSimd, QueryProfileCacheRebuildsOnlyOnNewId) {
-  QueryProfileCache cache;
+  // The verifier's per-worker cache: one slot, since pairs arrive sorted
+  // by query id.
+  LruQueryProfileCache cache(1);
   const std::string q0 = "MKVLAAGGHTREQW";
   const std::string q1 = "WWWHHHKKKFFF";
   cache.get(5, q0);
@@ -151,8 +153,12 @@ TEST(SwSimd, QueryProfileCacheRebuildsOnlyOnNewId) {
   cache.get(9, q1);
   EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.get(9, q1).query(), q1);
+  EXPECT_EQ(cache.hits(), 3u);
+  cache.get(5, q0);  // evicted by 9: rebuilt
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(cache.size(), 1u);
   // id 0 must behave like any other id, not like "empty slot".
-  QueryProfileCache zero;
+  LruQueryProfileCache zero(1);
   zero.get(0, q0);
   zero.get(0, q0);
   EXPECT_EQ(zero.builds(), 1u);

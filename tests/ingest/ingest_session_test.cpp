@@ -7,19 +7,47 @@
 // persisted snapshot, and the device cluster engine. The delta path is
 // held to the same standard batch by batch: the delta the session builds
 // from its splice is byte-equal to the from-scratch diff of the two
-// stores, and applying it reproduces the from-scratch store.
+// stores, and applying it reproduces the from-scratch store. Below the
+// partition, the seed stage is held to pair level: a batch's candidates,
+// diagonals included, are the from-scratch seed stage's new-involving
+// pairs.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "align/homology_graph.hpp"
+#include "align/lsh_seeds.hpp"
 #include "core/serial_pclust.hpp"
 #include "device/device_context.hpp"
 #include "ingest/ingest_session.hpp"
 #include "seq/family_model.hpp"
 #include "store/delta.hpp"
 #include "store/snapshot.hpp"
+#include "util/rng.hpp"
+
+namespace gpclust::ingest {
+
+/// The session's seed stage on its own: the candidates ingest(batch) would
+/// hand to verification, leaving the session as it was.
+struct IngestSeedProbe {
+  static std::vector<align::CandidatePair> candidates(
+      IngestSession& session, const seq::SequenceSet& batch) {
+    const std::size_t first_new = session.sequences_.size();
+    session.sequences_.insert(session.sequences_.end(), batch.begin(),
+                              batch.end());
+    const bool lsh =
+        session.config_.graph.seed_mode == align::SeedMode::MinHashLsh;
+    std::vector<align::CandidatePair> pairs =
+        (lsh ? session.incremental_seed_lsh(first_new)
+             : session.incremental_seed_kmer(first_new))
+            .pairs;
+    session.sequences_.resize(first_new);
+    return pairs;
+  }
+};
+
+}  // namespace gpclust::ingest
 
 namespace gpclust {
 namespace {
@@ -123,6 +151,76 @@ void expect_delta_chain_equivalent(const seq::SequenceSet& sequences,
   EXPECT_EQ(store::serialize_snapshot(session.store()),
             from_scratch_snapshot_bytes(sequences, config.graph,
                                         config.shingling, config.store));
+}
+
+/// Random splits of `sequences`: before each batch is ingested, the
+/// session's candidates for it — (a, b, shared_kmers, diag) — must equal
+/// the from-scratch seed stage over everything ingested so far plus the
+/// batch, restricted to the pairs the batch introduced (b >= first_new).
+void expect_seed_pairs_match_from_scratch(const seq::SequenceSet& sequences,
+                                          const ingest::IngestConfig& config,
+                                          u64 split_seed) {
+  const bool lsh = config.graph.seed_mode == align::SeedMode::MinHashLsh;
+  util::Xoshiro256 rng(split_seed);
+  ingest::IngestSession session(config);
+  std::size_t batches = 0;
+  for (std::size_t first_new = 0; first_new < sequences.size(); ++batches) {
+    const std::size_t end =
+        first_new + 1 + rng.next_below(sequences.size() - first_new);
+    const seq::SequenceSet prefix(
+        sequences.begin(), sequences.begin() + static_cast<std::ptrdiff_t>(end));
+    const seq::SequenceSet batch(
+        prefix.begin() + static_cast<std::ptrdiff_t>(first_new), prefix.end());
+    std::vector<align::CandidatePair> expected =
+        lsh ? align::find_candidate_pairs_lsh(prefix, config.graph.lsh)
+            : align::find_candidate_pairs(prefix, config.graph.seeds);
+    std::erase_if(expected, [&](const align::CandidatePair& p) {
+      return p.b < first_new;
+    });
+    const std::vector<align::CandidatePair> got =
+        ingest::IngestSeedProbe::candidates(session, batch);
+    ASSERT_EQ(got.size(), expected.size())
+        << "split " << split_seed << ", batch " << batches;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i] == expected[i])
+          << "split " << split_seed << ", batch " << batches << ", pair ("
+          << got[i].a << ", " << got[i].b << ", " << got[i].shared_kmers
+          << ", " << got[i].diag << ") vs (" << expected[i].a << ", "
+          << expected[i].b << ", " << expected[i].shared_kmers << ", "
+          << expected[i].diag << ")";
+    }
+    session.ingest(batch);
+    first_new = end;
+  }
+}
+
+TEST(IngestSeedEquivalence, KmerCandidatesMatchFromScratchPairForPair) {
+  const seq::SequenceSet sequences = make_workload(77, 6);
+  ingest::IngestConfig config;
+  config.shingling = test_params();
+  for (const std::size_t max_occurrences : {std::size_t{200}, std::size_t{5}}) {
+    SCOPED_TRACE("max_kmer_occurrences " + std::to_string(max_occurrences));
+    config.graph.seeds.max_kmer_occurrences = max_occurrences;
+    for (u64 split = 1; split <= 4; ++split) {
+      expect_seed_pairs_match_from_scratch(sequences, config, split);
+    }
+  }
+}
+
+TEST(IngestSeedEquivalence, MinHashCandidatesMatchFromScratchPairForPair) {
+  const seq::SequenceSet sequences = make_workload(78, 6);
+  ingest::IngestConfig config;
+  config.shingling = test_params();
+  config.graph.seed_mode = align::SeedMode::MinHashLsh;
+  config.graph.lsh.num_bands = 16;
+  for (const u32 min_band_hits : {1u, 2u}) {
+    SCOPED_TRACE("min_band_hits " + std::to_string(min_band_hits));
+    config.graph.lsh.min_band_hits = min_band_hits;
+    config.graph.lsh.max_bucket_size = min_band_hits == 1 ? 200 : 5;
+    for (u64 split = 1; split <= 4; ++split) {
+      expect_seed_pairs_match_from_scratch(sequences, config, split);
+    }
+  }
 }
 
 TEST(IngestDeltaEquivalence, SessionDeltasMatchTheReferenceEveryBatch) {

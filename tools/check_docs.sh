@@ -5,9 +5,12 @@
 #   1. Markdown link check — every relative link in the top-level and
 #      docs/ markdown files must resolve to an existing file (anchors and
 #      external URLs are skipped).
-#   2. CLI flag coverage — every flag parsed from the command line in
-#      tools/, bench/ and examples/ (util::CliArgs get_*/has calls) must
-#      appear as `--flag` in docs/cli.md, the consolidated CLI reference.
+#   2. CLI flag coverage, both ways — every flag parsed from the command
+#      line in tools/, bench/ and examples/ (util::CliArgs get_*/has calls)
+#      must appear as `--flag` in docs/cli.md, the consolidated CLI
+#      reference, and every `--flag` docs/cli.md documents must be parsed
+#      by one of those sources (google-benchmark's `--benchmark_*` flags
+#      aside), so a removed flag cannot linger in the reference.
 #   3. --help coverage — every flag gpclust-build-index and gpclust-query
 #      print in their --help reference must also appear in docs/cli.md.
 #      Uses the built binaries' live output when a build directory exists;
@@ -41,12 +44,21 @@ for md in *.md docs/*.md; do
 done
 
 echo "-- CLI flag coverage vs docs/cli.md"
-flags=$(grep -ho 'get_\(int\|string\|bool\|double\)("[a-z0-9-]*"\|\.has("[a-z0-9-]*"' \
-    tools/*.cpp bench/*.cpp examples/*.cpp |
-  sed 's/.*("\([a-z0-9-]*\)".*/\1/' | sort -u)
+# Newlines folded first: a call may wrap between "get_int(" and its name.
+flags=$(cat tools/*.cpp bench/*.cpp examples/*.cpp | tr -s '\n ' '  ' |
+  grep -o 'get_\(int\|string\|bool\|double\)( *"[a-z0-9-]*"\|\.has( *"[a-z0-9-]*"' |
+  sed 's/.*( *"\([a-z0-9-]*\)".*/\1/' | sort -u)
 for f in $flags; do
   if ! grep -q -- "--$f" docs/cli.md; then
     echo "flag --$f is parsed in the sources but missing from docs/cli.md"
+    fail=1
+  fi
+done
+documented=$(grep -o -- '--[a-z][a-z0-9-]*[_*]\{0,1\}' docs/cli.md |
+  grep -v '[_*]$' | sed 's/^--//' | sort -u)
+for f in $documented; do
+  if ! printf '%s\n' "$flags" | grep -qx -- "$f"; then
+    echo "docs/cli.md documents --$f, but no source in tools/, bench/ or examples/ parses it"
     fail=1
   fi
 done

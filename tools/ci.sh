@@ -7,7 +7,8 @@
 #
 #   sh tools/ci.sh
 #
-# The build host has one core, so everything runs sequentially (CLAUDE.md).
+# The build host has 4 vCPUs shared with other work, so the tiers run one
+# after another and timing gates are never raced against a build.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -55,10 +55,10 @@
 //                          the recorded build default)
 //   --help                 print the flag reference and exit
 //
-// Exit codes: 0 success; 1 build failure; 2 usage; 4 snapshot or delta
-// corruption (store::SnapshotError); 5 snapshot I/O failure — missing or
-// unwritable file (store::SnapshotIoError). Same convention as
-// gpclust-query.
+// Exit codes: 0 success; 1 build failure; 2 usage (including a flag the
+// mode does not read); 4 snapshot or delta corruption
+// (store::SnapshotError); 5 snapshot I/O failure — missing or unwritable
+// file (store::SnapshotIoError). Same convention as gpclust-query.
 
 #include <cstdio>
 #include <filesystem>
@@ -123,24 +123,19 @@ std::vector<std::string> split_csv(const std::string& spec) {
 }
 
 /// --append: resume an IngestSession from the chain tip and write one
-/// delta link per appended FASTA. Returns the process exit code.
-int run_append(const gpclust::util::CliArgs& args,
+/// delta link per appended FASTA. `config` carries the flag-given
+/// shingling and reps; k and the signature parameters are recorded in the
+/// snapshot, so the base is authoritative for those. Returns the process
+/// exit code.
+int run_append(gpclust::ingest::IngestConfig config, const std::string& engine,
                const std::string& base_snapshot,
                const std::vector<std::string>& batches,
                gpclust::store::DeltaChainTip tip) {
   using namespace gpclust;
-  ingest::IngestConfig config;
-  config.shingling.c1 = static_cast<u32>(args.get_int("c1", 80));
-  config.shingling.c2 = static_cast<u32>(args.get_int("c2", 40));
-  // k and the signature parameters are recorded in the snapshot — the
-  // base is authoritative; only reps/c1/c2 must be repeated by flag.
   config.store.k = static_cast<std::size_t>(tip.store.kmer_k);
-  config.store.reps_per_family =
-      static_cast<std::size_t>(args.get_int("reps", 2));
   config.store.sig_hashes = static_cast<std::size_t>(tip.store.sig_num_hashes);
   config.store.sig_seed = tip.store.sig_seed;
   std::optional<device::DeviceContext> ctx;
-  const auto engine = args.get_string("engine", "gpu");
   if (engine == "gpu") {
     ctx.emplace(device::DeviceSpec::tesla_k20());
     config.engine = ingest::ClusterEngine::Device;
@@ -203,6 +198,17 @@ int main(int argc, char** argv) {
         print_help(stderr);
         return 2;
       }
+      // Compaction reads no further flags; --append reads its own.
+      ingest::IngestConfig config;
+      std::string engine;
+      if (append) {
+        config.shingling.c1 = static_cast<u32>(args.get_int("c1", 80));
+        config.shingling.c2 = static_cast<u32>(args.get_int("c2", 40));
+        config.store.reps_per_family =
+            static_cast<std::size_t>(args.get_int("reps", 2));
+        engine = args.get_string("engine", "gpu");
+      }
+      args.reject_unknown();
       store::DeltaChainTip tip = store::follow_delta_chain(base_snapshot);
       std::fprintf(stderr,
                    "loaded %s + %llu delta link(s): %zu sequences, "
@@ -230,14 +236,32 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(tip.store.num_families));
         return 0;
       }
-      return run_append(args, base_snapshot, split_csv(append_spec),
-                        std::move(tip));
+      return run_append(std::move(config), engine, base_snapshot,
+                        split_csv(append_spec), std::move(tip));
     }
 
     if (out_path.empty() || (fasta_path.empty() && demo_families <= 0)) {
       print_help(stderr);
       return 2;
     }
+
+    // Every flag this mode uses is read before any work starts, so
+    // reject_unknown() can refuse the rest (--seed is demo-only).
+    const u64 demo_seed =
+        fasta_path.empty() ? static_cast<u64>(args.get_int("seed", 42)) : 0;
+    const auto demo_fasta_out = args.get_string("demo-fasta-out", "");
+    core::ShinglingParams params;
+    params.c1 = static_cast<u32>(args.get_int("c1", 80));
+    params.c2 = static_cast<u32>(args.get_int("c2", 40));
+    const auto engine = args.get_string("engine", "gpu");
+    store::StoreBuildConfig build;
+    build.k = static_cast<std::size_t>(args.get_int("k", 5));
+    build.reps_per_family = static_cast<std::size_t>(args.get_int("reps", 2));
+    build.sig_hashes = static_cast<std::size_t>(args.get_int(
+        "sig-hashes", static_cast<i64>(store::kDefaultSignatureHashes)));
+    build.sig_seed = static_cast<u64>(args.get_int(
+        "sig-seed", static_cast<i64>(store::kDefaultSignatureSeed)));
+    args.reject_unknown();
 
     // --- 1. Sequences -----------------------------------------------------
     seq::SequenceSet sequences;
@@ -250,11 +274,10 @@ int main(int argc, char** argv) {
       demo.max_members = 16;
       demo.substitution_rate = 0.08;
       demo.fragment_min_fraction = 0.8;
-      demo.seed = static_cast<u64>(args.get_int("seed", 42));
+      demo.seed = demo_seed;
       sequences = seq::generate_metagenome(demo).sequences;
     }
     std::fprintf(stderr, "loaded %zu sequences\n", sequences.size());
-    const auto demo_fasta_out = args.get_string("demo-fasta-out", "");
     if (!demo_fasta_out.empty()) {
       seq::write_fasta(sequences, demo_fasta_out);
       std::fprintf(stderr, "wrote %s\n", demo_fasta_out.c_str());
@@ -264,10 +287,6 @@ int main(int argc, char** argv) {
     util::WallTimer cluster_timer;
     align::HomologyGraphConfig hcfg;
     const auto graph = align::build_homology_graph(sequences, hcfg);
-    core::ShinglingParams params;
-    params.c1 = static_cast<u32>(args.get_int("c1", 80));
-    params.c2 = static_cast<u32>(args.get_int("c2", 40));
-    const auto engine = args.get_string("engine", "gpu");
     core::Clustering clustering;
     if (engine == "serial") {
       clustering = core::SerialShingler(params).cluster(graph);
@@ -284,13 +303,6 @@ int main(int argc, char** argv) {
                  clustering.num_clusters(), cluster_timer.seconds());
 
     // --- 3. Snapshot --------------------------------------------------------
-    store::StoreBuildConfig build;
-    build.k = static_cast<std::size_t>(args.get_int("k", 5));
-    build.reps_per_family = static_cast<std::size_t>(args.get_int("reps", 2));
-    build.sig_hashes = static_cast<std::size_t>(args.get_int(
-        "sig-hashes", static_cast<i64>(store::kDefaultSignatureHashes)));
-    build.sig_seed = static_cast<u64>(args.get_int(
-        "sig-seed", static_cast<i64>(store::kDefaultSignatureSeed)));
     const auto store =
         store::build_family_store(sequences, clustering.labels(), build);
     store::write_snapshot(store, out_path);

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
           stderr,
           "usage: gpclust --graph=PATH | --demo=N | --fasta=PATH | "
           "--demo-orfs=N [--verify-backend=scalar|simd|device] "
-          "[--seed-mode=kmer|maximal|minhash|spgemm] "
+          "[--seed-mode=kmer|maximal|minhash] "
           "[--lsh-bands=N] [--lsh-rows=N] [--out=PATH] "
           "[--engine=gpu|serial] [--s1 N --c1 N --s2 N --c2 N] "
           "[--streams=K] "
@@ -114,6 +114,34 @@ int main(int argc, char** argv) {
           "IDX a 0-based call index N or inclusive range N-M\n");
       return 2;
     }
+
+    // Every flag this invocation uses is read before any work starts, so
+    // reject_unknown() can refuse the rest.
+    align::HomologyGraphConfig hcfg;
+    if (sequence_mode) {
+      hcfg.verify_backend =
+          align::parse_verify_backend(args.get_string("verify-backend", "simd"));
+      hcfg.seed_mode =
+          align::parse_seed_mode(args.get_string("seed-mode", "kmer"));
+      hcfg.lsh.num_bands = static_cast<u64>(
+          args.get_int("lsh-bands", static_cast<i64>(hcfg.lsh.num_bands)));
+      hcfg.lsh.rows_per_band = static_cast<u64>(
+          args.get_int("lsh-rows", static_cast<i64>(hcfg.lsh.rows_per_band)));
+    }
+    const auto params = params_from(args);
+    const auto engine = args.get_string("engine", "gpu");
+    const auto device_mb = args.get_int("device-mb", 5120);
+    const auto trace_out = args.get_string("trace-out", "");
+    const auto fault_spec = args.get_string("fault-plan", "");
+    const auto num_streams = args.get_int("streams", 1);
+    const auto resilience =
+        fault::parse_resilience_mode(args.get_string("resilience", "off"));
+    const bool components = args.get_bool("components", false);
+    const auto min_size =
+        static_cast<std::size_t>(args.get_int("min-cluster-size", 1));
+    const bool print_report = args.get_bool("report", false);
+    const auto out = args.get_string("out", "");
+    args.reject_unknown();
 
     util::WallTimer load_timer;
     seq::SequenceSet sequences;
@@ -152,21 +180,14 @@ int main(int argc, char** argv) {
                    g.num_vertices(), g.num_edges(), load_timer.seconds());
     }
 
-    const auto params = params_from(args);
-    const auto engine = args.get_string("engine", "gpu");
-
     device::DeviceSpec spec = device::DeviceSpec::tesla_k20();
-    spec.global_memory_bytes =
-        static_cast<std::size_t>(args.get_int("device-mb", 5120)) << 20;
+    spec.global_memory_bytes = static_cast<std::size_t>(device_mb) << 20;
     device::DeviceContext ctx(spec);
-    const auto trace_out = args.get_string("trace-out", "");
     obs::Tracer tracer;
     obs::Tracer* tracer_ptr = trace_out.empty() ? nullptr : &tracer;
-    const auto fault_spec = args.get_string("fault-plan", "");
     fault::FaultPlan fault_plan;
     core::GpClustOptions options;
-    options.pipeline.num_streams =
-        static_cast<std::size_t>(args.get_int("streams", 1));
+    options.pipeline.num_streams = static_cast<std::size_t>(num_streams);
     options.tracer = tracer_ptr;
     if (!fault_spec.empty()) {
       fault_plan = fault::FaultPlan::parse(fault_spec);
@@ -174,19 +195,9 @@ int main(int argc, char** argv) {
       // Fault counters need a tracer even when no trace file is written.
       if (options.tracer == nullptr) options.tracer = &tracer;
     }
-    options.resilience.mode =
-        fault::parse_resilience_mode(args.get_string("resilience", "off"));
+    options.resilience.mode = resilience;
 
     if (sequence_mode) {
-      align::HomologyGraphConfig hcfg;
-      hcfg.verify_backend =
-          align::parse_verify_backend(args.get_string("verify-backend", "simd"));
-      hcfg.seed_mode =
-          align::parse_seed_mode(args.get_string("seed-mode", "kmer"));
-      hcfg.lsh.num_bands = static_cast<u64>(
-          args.get_int("lsh-bands", static_cast<i64>(hcfg.lsh.num_bands)));
-      hcfg.lsh.rows_per_band = static_cast<u64>(
-          args.get_int("lsh-rows", static_cast<i64>(hcfg.lsh.rows_per_band)));
       hcfg.tracer = options.tracer;
       if (hcfg.verify_backend == align::VerifyBackend::DeviceBatched) {
         hcfg.device_verify.context = &ctx;
@@ -231,7 +242,7 @@ int main(int argc, char** argv) {
     util::WallTimer cluster_timer;
     core::Clustering clustering;
     core::GpClustReport report;
-    if (args.get_bool("components", false)) {
+    if (components) {
       core::ComponentDecompositionStats stats;
       clustering = core::cluster_by_components(
           g,
@@ -247,8 +258,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "clustered in %.2fs wall\n", cluster_timer.seconds());
 
-    const auto min_size =
-        static_cast<std::size_t>(args.get_int("min-cluster-size", 1));
     const auto filtered = clustering.filtered(min_size);
     const auto stats = eval::partition_stats(filtered);
     std::printf("%zu clusters (>= %zu members), %zu sequences, largest %zu, "
@@ -256,8 +265,7 @@ int main(int argc, char** argv) {
                 stats.num_groups, min_size, stats.num_sequences,
                 stats.largest, stats.group_size.format(1).c_str());
 
-    if (args.get_bool("report", false) && engine == "gpu" &&
-        !args.get_bool("components", false)) {
+    if (print_report && engine == "gpu" && !components) {
       std::printf("breakdown: CPU %.2fs | GPU %.2fs | c->g %.2fs | g->c "
                   "%.2fs | device makespan %.2fs\n",
                   report.cpu_seconds, report.gpu_seconds, report.h2d_seconds,
@@ -293,7 +301,6 @@ int main(int argc, char** argv) {
                    tracer.summary().c_str());
     }
 
-    const auto out = args.get_string("out", "");
     if (!out.empty()) {
       eval::write_clusters(filtered, out);
       std::fprintf(stderr, "wrote %s\n", out.c_str());

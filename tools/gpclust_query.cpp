@@ -75,12 +75,14 @@
 //   --help                 print the flag reference and exit
 //
 // Exit codes: 0 success; 1 query/serving failure (including typed
-// dist::CommError when every replica of a shard is lost); 2 usage;
+// dist::CommError when every replica of a shard is lost); 2 usage
+// (including a flag this invocation does not read);
 // 3 --require-assigned-fraction unmet; 4 snapshot corruption
 // (store::SnapshotError); 5 snapshot I/O failure — missing or truncated
 // file (store::SnapshotIoError).
 
 #include <cstdio>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "seq/fasta.hpp"
@@ -255,10 +257,32 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // Every flag this invocation uses is read before any work starts, so
+    // reject_unknown() can refuse the rest.
+    const bool follow_deltas = args.has("follow-deltas");
+    const auto trace_out = args.get_string("trace-out", "");
+    obs::Tracer tracer;
+    obs::Tracer* tracer_ptr = trace_out.empty() ? nullptr : &tracer;
+    const bool sharded = args.get_int("ranks", 0) > 0;
+    fault::FaultPlan plan;
+    std::optional<serve::ShardedConfig> sharded_config;
+    std::optional<serve::ServiceConfig> service_config;
+    if (sharded) {
+      const auto plan_spec = args.get_string("fault-plan", "");
+      if (!plan_spec.empty()) plan = fault::FaultPlan::parse(plan_spec);
+      sharded_config = sharded_config_from(
+          args, plan_spec.empty() ? nullptr : &plan, tracer_ptr);
+    } else {
+      service_config = config_from(args, tracer_ptr);
+    }
+    const auto out_path = args.get_string("out", "");
+    const double required = args.get_double("require-assigned-fraction", -1.0);
+    args.reject_unknown();
+
     util::WallTimer load_timer;
     store::FamilyStore store;
     u64 chain_length = 0;
-    if (args.has("follow-deltas")) {
+    if (follow_deltas) {
       store::DeltaChainTip tip = store::follow_delta_chain(index_path);
       store = std::move(tip.store);
       chain_length = tip.chain_length;
@@ -276,10 +300,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(store.kmer_k),
                  load_timer.seconds());
 
-    const auto trace_out = args.get_string("trace-out", "");
-    obs::Tracer tracer;
-    obs::Tracer* tracer_ptr = trace_out.empty() ? nullptr : &tracer;
-
     std::vector<std::string> ids;
     std::vector<std::string> queries;
     if (!literal.empty()) {
@@ -292,8 +312,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    const bool sharded = args.get_int("ranks", 0) > 0;
-
     std::vector<serve::QueryOutcome> outcomes;   // single-node path
     std::vector<serve::ClassifyResult> results;  // sharded path
     serve::ShardedStats sharded_stats;
@@ -302,23 +320,17 @@ int main(int argc, char** argv) {
 
     util::WallTimer serve_timer;
     if (sharded) {
-      fault::FaultPlan plan;
-      const auto plan_spec = args.get_string("fault-plan", "");
-      if (!plan_spec.empty()) plan = fault::FaultPlan::parse(plan_spec);
-      const auto config = sharded_config_from(
-          args, plan_spec.empty() ? nullptr : &plan, tracer_ptr);
-      results =
-          serve::sharded_classify_batch(store, queries, config, &sharded_stats);
+      results = serve::sharded_classify_batch(store, queries, *sharded_config,
+                                              &sharded_stats);
       latency = sharded_stats.latency;
     } else {
-      serve::QueryService service(store, config_from(args, tracer_ptr));
+      serve::QueryService service(store, *service_config);
       outcomes = service.classify_batch(queries);
       service_stats = service.stats();
       latency = service.latency_histogram();
     }
     const double wall = serve_timer.seconds();
 
-    const auto out_path = args.get_string("out", "");
     std::FILE* out = stdout;
     if (!out_path.empty()) {
       out = std::fopen(out_path.c_str(), "w");
@@ -380,7 +392,6 @@ int main(int argc, char** argv) {
                    tracer.summary().c_str());
     }
 
-    const double required = args.get_double("require-assigned-fraction", -1.0);
     if (required >= 0.0 && !queries.empty()) {
       const double fraction =
           static_cast<double>(assigned) / static_cast<double>(queries.size());
