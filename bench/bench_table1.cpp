@@ -20,6 +20,8 @@
 // Flags: --scale20k, --scale2m (workload scale), --quick (tiny run),
 //        --trace-out=PREFIX (write PREFIX<row>.json chrome traces),
 //        --json=PATH (machine-readable rows, schema in docs/bench_json.md).
+// Exits 1 if either self-check (serial == gpClust partition, trace ==
+// GpClustReport device columns) fails.
 
 #include <cmath>
 #include <cstdio>
@@ -47,6 +49,11 @@ struct RowResult {
   double total = 0;
   double serial_total = 0;
   double serial_shingling = 0;
+  // Deterministic work counts of the gpClust run (its tracer counters).
+  u64 tuples1 = 0, tuples2 = 0;
+  u64 g1_shingles = 0, g2_shingles = 0;
+  u64 d2h_bytes = 0;
+  bool consistent = true;  ///< both self-checks below passed
 };
 
 /// Measured host seconds the simulator spent executing the modeled device
@@ -112,6 +119,11 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   row.d2h = tracer.modeled_category_total("copy_d2h").value;
   row.disk = disk.value;
   row.total = row.cpu + row.disk + report.device_makespan;
+  row.tuples1 = tracer.counter("pass1.tuples");
+  row.tuples2 = tracer.counter("pass2.tuples");
+  row.g1_shingles = tracer.counter("g1.shingles");
+  row.g2_shingles = tracer.counter("g2.shingles");
+  row.d2h_bytes = tracer.counter("d2h_bytes");
 
   // The pipeline's own report must agree with the trace-derived columns.
   if (std::abs(row.gpu - report.gpu_seconds) > 1e-9 ||
@@ -120,6 +132,7 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
     std::fprintf(stderr,
                  "ERROR: trace-derived device columns disagree with "
                  "GpClustReport!\n");
+    row.consistent = false;
   }
 
   if (!trace_prefix.empty()) {
@@ -134,11 +147,13 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   gpu_result.normalize();
   if (serial_result.digest() != gpu_result.digest()) {
     std::fprintf(stderr, "ERROR: serial and gpClust outputs differ!\n");
+    row.consistent = false;
   }
 
   // The paper's §III-C profile claim counts "the hashing and sorting
   // operations in the first and second level shingling" — extraction plus
-  // the gather sort that builds the shingle graph.
+  // the grouping of each level's tuples (G_I's gather sort, the pass-2
+  // component merge).
   const double hash_sort = row.serial_shingling +
                            (serial_tracer.host_total("aggregate1") +
                             serial_tracer.host_total("aggregate2"))
@@ -221,6 +236,13 @@ int main(int argc, char** argv) {
           {"serial_shingling_s", obs::json::number(r.serial_shingling)},
           {"total_speedup", obs::json::number(r.serial_total / r.total)},
           {"gpu_speedup", obs::json::number(r.serial_shingling / r.gpu)},
+          {"tuples1", obs::json::number(static_cast<double>(r.tuples1))},
+          {"tuples2", obs::json::number(static_cast<double>(r.tuples2))},
+          {"g1_shingles",
+           obs::json::number(static_cast<double>(r.g1_shingles))},
+          {"g2_shingles",
+           obs::json::number(static_cast<double>(r.g2_shingles))},
+          {"d2h_bytes", obs::json::number(static_cast<double>(r.d2h_bytes))},
       }));
     }
     const auto doc = obs::json::object({
@@ -238,6 +260,9 @@ int main(int argc, char** argv) {
     GPCLUST_CHECK(out.good(), "cannot open --json file");
     out << obs::json::dump(doc) << "\n";
     std::printf("wrote %s\n", json_path.c_str());
+  }
+  for (const auto& r : rows) {
+    if (!r.consistent) return 1;
   }
   return 0;
 }

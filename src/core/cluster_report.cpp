@@ -11,8 +11,8 @@ namespace {
 
 /// Groups first-level shingle indices by G_II connectivity: two S1 nodes
 /// are connected iff they co-occur in some second-level shingle's list.
-std::vector<std::vector<u32>> s1_components(const BipartiteShingleGraph& gii,
-                                            std::size_t num_s1) {
+S1Components s1_components(const BipartiteShingleGraph& gii,
+                           std::size_t num_s1) {
   graph::UnionFind uf(num_s1);
   for (std::size_t t = 0; t < gii.num_left(); ++t) {
     const auto list = gii.list(t);
@@ -22,20 +22,15 @@ std::vector<std::vector<u32>> s1_components(const BipartiteShingleGraph& gii,
   }
   // Only S1 nodes that appear in G_II belong to a component.
   std::vector<u8> present(num_s1, 0);
-  for (std::size_t t = 0; t < gii.num_left(); ++t) {
-    for (u32 f : gii.list(t)) present[f] = 1;
-  }
-  constexpr u32 kUnset = std::numeric_limits<u32>::max();
-  std::vector<u32> comp_of_root(num_s1, kUnset);
-  std::vector<std::vector<u32>> comps;
+  for (u32 f : gii.members) present[f] = 1;
+  S1Components comps;
+  comps.of.assign(num_s1, S1Components::kNone);
+  std::vector<u32> comp_of_root(num_s1, S1Components::kNone);
   for (std::size_t f = 0; f < num_s1; ++f) {
     if (!present[f]) continue;
-    const std::size_t r = uf.find(f);
-    if (comp_of_root[r] == kUnset) {
-      comp_of_root[r] = static_cast<u32>(comps.size());
-      comps.emplace_back();
-    }
-    comps[comp_of_root[r]].push_back(static_cast<u32>(f));
+    u32& comp = comp_of_root[uf.find(f)];
+    if (comp == S1Components::kNone) comp = static_cast<u32>(comps.count++);
+    comps.of[f] = comp;
   }
   return comps;
 }
@@ -48,38 +43,44 @@ Clustering report_dense_subgraphs(const BipartiteShingleGraph& gi,
   for (u32 f : gii.members) {
     GPCLUST_CHECK(f < gi.num_left(), "G_II references unknown S1 shingle");
   }
-  const auto comps = s1_components(gii, gi.num_left());
+  return report_dense_subgraphs(gi, s1_components(gii, gi.num_left()),
+                                num_vertices, mode);
+}
 
+Clustering report_dense_subgraphs(const BipartiteShingleGraph& gi,
+                                  const S1Components& components,
+                                  std::size_t num_vertices, ReportMode mode) {
+  GPCLUST_CHECK(components.of.size() == gi.num_left(),
+                "components cover a different S1 node count");
   if (mode == ReportMode::Overlapping) {
-    std::vector<std::vector<VertexId>> clusters;
-    clusters.reserve(comps.size());
-    for (const auto& comp : comps) {
-      std::vector<VertexId> cluster;
-      for (u32 f : comp) {
-        const auto l = gi.list(f);
-        cluster.insert(cluster.end(), l.begin(), l.end());
-      }
+    std::vector<std::vector<VertexId>> clusters(components.count);
+    for (std::size_t f = 0; f < gi.num_left(); ++f) {
+      if (components.of[f] == S1Components::kNone) continue;
+      const auto l = gi.list(f);
+      auto& cluster = clusters[components.of[f]];
+      cluster.insert(cluster.end(), l.begin(), l.end());
+    }
+    for (auto& cluster : clusters) {
       std::sort(cluster.begin(), cluster.end());
       cluster.erase(std::unique(cluster.begin(), cluster.end()),
                     cluster.end());
-      clusters.push_back(std::move(cluster));
     }
     return Clustering(std::move(clusters), num_vertices);
   }
 
-  // Partition mode: union the induced vertex set of every component.
+  // Partition mode: union the induced vertex set of every component into
+  // the component's first vertex.
   graph::UnionFind uf(num_vertices);
-  for (const auto& comp : comps) {
-    VertexId anchor = 0;
-    bool have_anchor = false;
-    for (u32 f : comp) {
-      for (u32 v : gi.list(f)) {
-        if (!have_anchor) {
-          anchor = v;
-          have_anchor = true;
-        } else {
-          uf.unite(anchor, v);
-        }
+  constexpr VertexId kNoAnchor = std::numeric_limits<VertexId>::max();
+  std::vector<VertexId> anchor(components.count, kNoAnchor);
+  for (std::size_t f = 0; f < gi.num_left(); ++f) {
+    if (components.of[f] == S1Components::kNone) continue;
+    VertexId& a = anchor[components.of[f]];
+    for (u32 v : gi.list(f)) {
+      if (a == kNoAnchor) {
+        a = v;
+      } else {
+        uf.unite(a, v);
       }
     }
   }

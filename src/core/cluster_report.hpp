@@ -29,4 +29,11 @@ Clustering report_dense_subgraphs(const BipartiteShingleGraph& gi,
                                   const BipartiteShingleGraph& gii,
                                   std::size_t num_vertices, ReportMode mode);
 
+/// The same report from G_II's components, as S1ComponentBuilder builds
+/// them without G_II: components of G_II and S1Components of its tuples
+/// give identical clusterings in both modes.
+Clustering report_dense_subgraphs(const BipartiteShingleGraph& gi,
+                                  const S1Components& components,
+                                  std::size_t num_vertices, ReportMode mode);
+
 }  // namespace gpclust::core

@@ -69,18 +69,23 @@ struct BatchEffects {
   std::vector<u32> erased;    ///< lists completed (and removed) this batch
 };
 
-void commit_effects(BatchEffects&& fx, ShingleTuples& tuples,
-                    PendingMap& pending) {
+/// Applies a successful batch's split-list updates to the committed map;
+/// its tuples are left in `fx` for the caller to land.
+void commit_pending(BatchEffects& fx, PendingMap& pending) {
   for (u32 id : fx.erased) pending.erase(id);
   for (auto& [id, acc] : fx.updated) pending[id] = std::move(acc);
+}
+
+/// Appends a committed batch's tuples to the pass's result.
+void append_tuples(ShingleTuples&& batch, ShingleTuples& tuples) {
   if (tuples.size() == 0) {
-    tuples = std::move(fx.tuples);
+    tuples = std::move(batch);
     return;
   }
-  tuples.shingle.insert(tuples.shingle.end(), fx.tuples.shingle.begin(),
-                        fx.tuples.shingle.end());
-  tuples.owner.insert(tuples.owner.end(), fx.tuples.owner.begin(),
-                      fx.tuples.owner.end());
+  tuples.shingle.insert(tuples.shingle.end(), batch.shingle.begin(),
+                        batch.shingle.end());
+  tuples.owner.insert(tuples.owner.end(), batch.owner.begin(),
+                      batch.owner.end());
 }
 
 /// Shared consume step (identical for the device and CPU-fallback paths):
@@ -267,11 +272,12 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
 /// Bit-identical CPU continuation: processes the remaining pieces with the
 /// serial s-minima scan (min_s_images produces exactly the sorted
 /// front-s the select kernel produces), feeding the same consume step, so
-/// partially merged split lists complete correctly.
-void process_pieces_cpu(std::span<const ListPiece> pieces,
-                        std::span<const u32> members,
-                        const HashFamily& family, u32 s,
-                        ShingleTuples& tuples, PendingMap& pending) {
+/// partially merged split lists complete correctly. The effects are
+/// committed like a device batch's.
+BatchEffects process_pieces_cpu(std::span<const ListPiece> pieces,
+                                std::span<const u32> members,
+                                const HashFamily& family, u32 s,
+                                const PendingMap& pending) {
   const u32 c = family.size();
   std::vector<u64> minima(s);
   BatchEffects fx;
@@ -286,7 +292,7 @@ void process_pieces_cpu(std::span<const ListPiece> pieces,
       if (piece.ends_list) fx.tuples.append(id, piece.list_id);
     }
   }
-  commit_effects(std::move(fx), tuples, pending);
+  return fx;
 }
 
 }  // namespace
@@ -313,7 +319,8 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
                                       util::MetricsRegistry* metrics,
                                       const std::string& cpu_metric,
                                       DevicePassStats* stats,
-                                      const std::string& trace_phase) {
+                                      const std::string& trace_phase,
+                                      const TupleSink& sink) {
   GPCLUST_CHECK(!offsets.empty() && offsets.back() == members.size(),
                 "offsets must cover the member array");
   util::MetricsRegistry local;
@@ -346,6 +353,18 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
 
   DevicePassStats run_stats;
   run_stats.num_lanes = lanes.size();
+  // The one place a batch's effects land: the device path, its retries
+  // and replans, and the CPU fallback all commit through here.
+  const auto commit = [&](BatchEffects&& fx) {
+    {
+      util::ScopedTimer t(reg, cpu_metric);
+      obs::HostSpan span(tracer, trace_phase + ".commit");
+      commit_pending(fx, pending);
+      run_stats.num_tuples += fx.tuples.size();
+      if (!sink) append_tuples(std::move(fx.tuples), tuples);
+    }
+    if (sink) sink(std::move(fx.tuples));
+  };
   int consecutive_failures = 0;
   bool cpu_mode = false;
   std::size_t next_lane = 0;
@@ -369,14 +388,9 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
         // return to the arena before this batch allocates.
         lane.buffers = Lane::Buffers{};
         try {
-          BatchEffects fx = process_batch_device(
-              ctx, batch, members, family, s, reg, cpu_metric, tracer,
-              trace_phase, pending, lane, staging, host_minima);
-          {
-            util::ScopedTimer t(reg, cpu_metric);
-            obs::HostSpan span(tracer, trace_phase + ".commit");
-            commit_effects(std::move(fx), tuples, pending);
-          }
+          commit(process_batch_device(ctx, batch, members, family, s, reg,
+                                      cpu_metric, tracer, trace_phase,
+                                      pending, lane, staging, host_minima));
           for (std::size_t seg = 0; seg < batch.num_segments(); ++seg) {
             if (batch.seg_starts_list[seg] && !batch.seg_ends_list[seg]) {
               ++run_stats.num_split_lists;
@@ -452,20 +466,21 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
   if (cpu_mode && !pieces.empty()) {
     run_stats.cpu_fallback = true;
     obs::add_counter(tracer, "cpu_fallbacks", 1);
-    util::ScopedTimer t(reg, cpu_metric);
-    obs::HostSpan span(tracer, trace_phase + ".cpu_fallback");
-    process_pieces_cpu(pieces, members, family, s, tuples, pending);
+    BatchEffects fx;
+    {
+      util::ScopedTimer t(reg, cpu_metric);
+      obs::HostSpan span(tracer, trace_phase + ".cpu_fallback");
+      fx = process_pieces_cpu(pieces, members, family, s, pending);
+    }
+    commit(std::move(fx));
     pieces.clear();
   }
   GPCLUST_CHECK(pending.empty(), "unfinished split lists after final batch");
 
   obs::add_counter(tracer, "batches", run_stats.num_batches);
-  obs::add_counter(tracer, "tuples", tuples.size());
+  obs::add_counter(tracer, "tuples", run_stats.num_tuples);
 
-  if (stats != nullptr) {
-    *stats = run_stats;
-    stats->num_tuples = tuples.size();
-  }
+  if (stats != nullptr) *stats = run_stats;
   return tuples;
 }
 

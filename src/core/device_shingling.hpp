@@ -23,6 +23,8 @@
 // paper's synchronous Thrust behavior; num_streams=2 is one lane with a
 // dedicated copy stream (the single-lane overlap engine).
 
+#include <functional>
+
 #include "core/batching.hpp"
 #include "core/minhash.hpp"
 #include "core/params.hpp"
@@ -49,6 +51,9 @@ struct DevicePassOptions {
   /// before the recovery ladder runs (see DevicePassStats).
   fault::ResiliencePolicy resilience;
 };
+
+/// Receives a pass's tuples one batch at a time, as each batch commits.
+using TupleSink = std::function<void(ShingleTuples&&)>;
 
 struct DevicePassStats {
   std::size_t num_batches = 0;
@@ -81,6 +86,11 @@ std::size_t default_batch_elements(const device::DeviceContext& ctx, u32 s,
 /// the simulated device — not part of `cpu_metric`, and never mixed into
 /// the modeled timeline), modeled device ops are attributed to the phase,
 /// and the "batches"/"tuples" counters advance.
+///
+/// When `sink` is set, each batch's tuples go to it right after the batch
+/// commits (a faulted batch that is retried or replanned delivers nothing;
+/// the CPU fallback delivers its pieces the same way) and the pass returns
+/// no tuples. The sink runs outside the pass's timed sections.
 ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
                                       std::span<const u64> offsets,
                                       std::span<const u32> members,
@@ -89,6 +99,7 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
                                       util::MetricsRegistry* metrics = nullptr,
                                       const std::string& cpu_metric = "gpclust.cpu",
                                       DevicePassStats* stats = nullptr,
-                                      const std::string& trace_phase = "pass");
+                                      const std::string& trace_phase = "pass",
+                                      const TupleSink& sink = {});
 
 }  // namespace gpclust::core

@@ -104,27 +104,31 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
     obs::HostSpan span(tracer, "aggregate1");
     gi = aggregate_tuples(std::move(tuples1));
   }
-  obs::add_counter(tracer, "shingles", gi.num_left());
 
-  // Second level shingling on the device (lines 17-21).
-  ShingleTuples tuples2 =
-      extract_shingles_device(ctx_, gi.offsets, gi.members, family2,
-                              params_.s2, pass_options, &reg, "cpu", &stats2,
-                              "pass2");
+  // Second level shingling on the device (lines 17-21). Each batch's
+  // tuples merge into the S1 components as the batch commits (the final
+  // aggregation of line 22), so G_II is never built.
+  S1ComponentBuilder merge(gi.num_left());
+  extract_shingles_device(ctx_, gi.offsets, gi.members, family2, params_.s2,
+                          pass_options, &reg, "cpu", &stats2, "pass2",
+                          [&](ShingleTuples&& batch) {
+                            util::ScopedTimer t(reg, "cpu");
+                            obs::HostSpan span(tracer, "aggregate2");
+                            merge.add(std::move(batch));
+                          });
+  obs::add_counter(tracer, "pass1.tuples", stats1.num_tuples);
+  obs::add_counter(tracer, "pass2.tuples", stats2.num_tuples);
+  obs::add_counter(tracer, "g1.shingles", gi.num_left());
+  obs::add_counter(tracer, "g2.shingles", merge.num_shingles());
+  obs::add_counter(tracer, "shingles", gi.num_left() + merge.num_shingles());
 
-  // Final aggregation + dense subgraph reporting (lines 22-23).
-  BipartiteShingleGraph gii;
-  {
-    util::ScopedTimer t(reg, "cpu");
-    obs::HostSpan span(tracer, "aggregate2");
-    gii = aggregate_tuples(std::move(tuples2));
-  }
-  obs::add_counter(tracer, "shingles", gii.num_left());
+  // Dense subgraph reporting (line 23).
   Clustering result;
   {
     util::ScopedTimer t(reg, "cpu");
     obs::HostSpan span(tracer, "report");
-    result = report_dense_subgraphs(gi, gii, g.num_vertices(), params_.mode);
+    result = report_dense_subgraphs(gi, merge.components(), g.num_vertices(),
+                                    params_.mode);
   }
 
   if (report != nullptr) {

@@ -50,13 +50,12 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
     tuples1 = extract_shingles_serial(g.offsets(), g.adjacency(), family1,
                                       params_.s1);
   }
-  obs::add_counter(tracer, "tuples", tuples1.size());
+  const std::size_t num_tuples1 = tuples1.size();
   BipartiteShingleGraph gi;
   {
     obs::HostSpan span(tracer, "aggregate1");
     gi = aggregate_tuples(std::move(tuples1));
   }
-  obs::add_counter(tracer, "shingles", gi.num_left());
 
   ShingleTuples tuples2;
   {
@@ -64,16 +63,24 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
     tuples2 =
         extract_shingles_serial(gi.offsets, gi.members, family2, params_.s2);
   }
-  obs::add_counter(tracer, "tuples", tuples2.size());
-  BipartiteShingleGraph gii;
+  // The same component merge GpClust runs at each batch commit, over the
+  // single serial pass: G_II is never built.
+  const std::size_t num_tuples2 = tuples2.size();
+  S1ComponentBuilder merge(gi.num_left());
   {
     obs::HostSpan span(tracer, "aggregate2");
-    gii = aggregate_tuples(std::move(tuples2));
+    merge.add(std::move(tuples2));
   }
-  obs::add_counter(tracer, "shingles", gii.num_left());
+  obs::add_counter(tracer, "pass1.tuples", num_tuples1);
+  obs::add_counter(tracer, "pass2.tuples", num_tuples2);
+  obs::add_counter(tracer, "tuples", num_tuples1 + num_tuples2);
+  obs::add_counter(tracer, "g1.shingles", gi.num_left());
+  obs::add_counter(tracer, "g2.shingles", merge.num_shingles());
+  obs::add_counter(tracer, "shingles", gi.num_left() + merge.num_shingles());
 
   obs::HostSpan span(tracer, "report");
-  return report_dense_subgraphs(gi, gii, g.num_vertices(), params_.mode);
+  return report_dense_subgraphs(gi, merge.components(), g.num_vertices(),
+                                params_.mode);
 }
 
 }  // namespace gpclust::core

@@ -1,6 +1,7 @@
 #include "core/shingle_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -20,6 +21,18 @@ constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
 /// Below this many tuples per worker the pool's dispatch costs more than
 /// it saves; smaller inputs aggregate on the calling thread.
 constexpr std::size_t kMinTuplesPerWorker = std::size_t{1} << 14;
+
+/// Shards of S1ComponentBuilder's shingle map: several per pool worker, so
+/// the workers' shard ranges hold about equal numbers of ids.
+constexpr u32 kComponentShards = 256;
+/// Tuples per window of S1ComponentBuilder::add's first phase. A pass
+/// emits its tuples trial by trial, and an id recurs mostly within its
+/// trial, so a window's distinct ids are a fraction of its tuples and
+/// their table stays within a core's cache.
+constexpr std::size_t kWindowTuples = std::size_t{1} << 18;
+/// A table's capacity on its first id; it doubles whenever an insert would
+/// fill it past 3/4.
+constexpr std::size_t kMinTableSlots = 16;
 
 /// Packs a tuple into one 128-bit key ordered by (shingle, owner).
 inline __uint128_t pack_tuple(ShingleId shingle, u32 owner) {
@@ -111,6 +124,14 @@ BipartiteShingleGraph aggregate_bucketed(ShingleTuples&& tuples,
   return g;
 }
 
+/// Home slot of a shingle id in a table of 2^bits slots. Fibonacci
+/// hashing: the product's top bits mix every bit of the id, so the ids of
+/// one shard, which share their top bits, still spread over its table.
+inline std::size_t home_slot(ShingleId shingle, int bits) {
+  return static_cast<std::size_t>((shingle * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - bits));
+}
+
 }  // namespace
 
 BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples) {
@@ -123,6 +144,159 @@ BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards) {
   if (shards <= 1) return aggregate_tuples(std::move(tuples));
   return aggregate_bucketed(std::move(tuples), shards);
+}
+
+S1ComponentBuilder::S1ComponentBuilder(std::size_t num_s1)
+    : num_s1_(num_s1),
+      shards_(kComponentShards),
+      parent_(std::make_unique<std::atomic<u32>[]>(num_s1)) {
+  GPCLUST_CHECK(num_s1 < S1Components::kNone, "too many S1 nodes");
+  // Relaxed: no other thread can see the array before add() hands it to
+  // the pool, whose task queue orders these stores before every worker.
+  for (std::size_t f = 0; f < num_s1; ++f) {
+    parent_[f].store(S1Components::kNone, std::memory_order_relaxed);
+  }
+}
+
+void S1ComponentBuilder::add(ShingleTuples&& tuples) {
+  const std::size_t n = tuples.size();
+  GPCLUST_CHECK(tuples.owner.size() == n, "tuple arrays out of sync");
+  // Phase 1, over windows of consecutive tuples: a worker-local table
+  // merges each window's repeats of an id into the id's first owner in
+  // the window, and that first (id, owner) pair moves to the window's
+  // front, in tuple order.
+  const std::size_t windows = (n + kWindowTuples - 1) / kWindowTuples;
+  std::vector<std::size_t> kept(windows, 0);
+  util::for_ranges(
+      std::min(windows, util::group_by_workers(n, kMinTuplesPerWorker)),
+      windows, [&](std::size_t lo, std::size_t hi) {
+        Table local;
+        for (std::size_t w = lo; w < hi; ++w) {
+          std::fill(local.slots.begin(), local.slots.end(), Slot{});
+          local.size = 0;
+          const std::size_t begin = w * kWindowTuples;
+          const std::size_t end = std::min(n, begin + kWindowTuples);
+          std::size_t out = begin;
+          for (std::size_t i = begin; i < end; ++i) {
+            const ShingleId shingle = tuples.shingle[i];
+            const u32 owner = tuples.owner[i];
+            GPCLUST_CHECK(owner < num_s1_, "tuple owner is not an S1 node");
+            u32 absent = S1Components::kNone;
+            if (parent_[owner].load() == absent) {
+              parent_[owner].compare_exchange_strong(absent, owner);
+            }
+            if (insert_or_unite(local, shingle, owner)) {
+              tuples.shingle[out] = shingle;
+              tuples.owner[out] = owner;
+              ++out;
+            }
+          }
+          kept[w] = out - begin;
+        }
+      });
+  // Phase 2: the windows' pairs into the sharded map. Each worker owns a
+  // contiguous range of shards and takes its ids from a scan of every
+  // window, so no table is shared between threads; only the union-find
+  // is, and its links are compare-and-swap.
+  std::size_t total = 0;
+  for (std::size_t k : kept) total += k;
+  util::for_ranges(
+      util::group_by_workers(total, kMinTuplesPerWorker), kComponentShards,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t w = 0; w < windows; ++w) {
+          const std::size_t begin = w * kWindowTuples;
+          for (std::size_t i = begin; i < begin + kept[w]; ++i) {
+            const ShingleId shingle = tuples.shingle[i];
+            const u32 shard = bucket_of(shingle, kComponentShards);
+            if (shard >= lo && shard < hi) {
+              insert_or_unite(shards_[shard], shingle, tuples.owner[i]);
+            }
+          }
+        }
+      });
+}
+
+bool S1ComponentBuilder::insert_or_unite(Table& table, ShingleId shingle,
+                                         u32 owner) {
+  // The slot holding `key`, or the empty slot where it belongs.
+  const auto probe = [](std::vector<Slot>& slots, ShingleId key) -> Slot& {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = home_slot(key, std::countr_zero(slots.size()));;
+         i = (i + 1) & mask) {
+      Slot& slot = slots[i];
+      if (slot.owner == S1Components::kNone || slot.key() == key) {
+        return slot;
+      }
+    }
+  };
+  const Slot fresh{static_cast<u32>(shingle), static_cast<u32>(shingle >> 32),
+                   owner};
+  if (!table.slots.empty()) {
+    Slot& slot = probe(table.slots, shingle);
+    if (slot.owner != S1Components::kNone) {
+      if (slot.owner != owner) unite(slot.owner, owner);
+      return false;
+    }
+    if (4 * (table.size + 1) <= 3 * table.slots.size()) {
+      slot = fresh;
+      ++table.size;
+      return true;
+    }
+  }
+  // A new id that would fill the table past 3/4: double it and rehash.
+  std::vector<Slot> grown(std::max(kMinTableSlots, 2 * table.slots.size()));
+  for (const Slot& old : table.slots) {
+    if (old.owner != S1Components::kNone) probe(grown, old.key()) = old;
+  }
+  probe(grown, shingle) = fresh;
+  table.slots = std::move(grown);
+  ++table.size;
+  return true;
+}
+
+u32 S1ComponentBuilder::find(u32 x) const {
+  for (;;) {
+    u32 p = parent_[x].load();
+    if (p == x) return x;
+    const u32 grandparent = parent_[p].load();
+    // Path halving; losing the race to another halving or link is harmless
+    // since every parent stays an ancestor.
+    if (grandparent != p) {
+      parent_[x].compare_exchange_weak(p, grandparent);
+    }
+    x = grandparent;
+  }
+}
+
+void S1ComponentBuilder::unite(u32 a, u32 b) {
+  for (;;) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return;
+    if (a < b) std::swap(a, b);
+    // Link the larger root under the smaller one; retry if it stopped
+    // being a root meanwhile.
+    u32 expected = a;
+    if (parent_[a].compare_exchange_weak(expected, b)) return;
+  }
+}
+
+std::size_t S1ComponentBuilder::num_shingles() const {
+  std::size_t total = 0;
+  for (const Table& shard : shards_) total += shard.size;
+  return total;
+}
+
+S1Components S1ComponentBuilder::components() const {
+  S1Components out;
+  out.of.assign(num_s1_, S1Components::kNone);
+  for (u32 f = 0; f < num_s1_; ++f) {
+    if (parent_[f].load() == S1Components::kNone) continue;
+    // The root is the smallest node of f's set, so it was numbered first.
+    const u32 root = find(f);
+    out.of[f] = root == f ? static_cast<u32>(out.count++) : out.of[root];
+  }
+  return out;
 }
 
 }  // namespace gpclust::core

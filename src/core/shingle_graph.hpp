@@ -4,7 +4,14 @@
 // list is L(s) — the set of right-side nodes that generated shingle s.
 // The CPU-side aggregation that builds it from raw <shingle, owner>
 // tuples is the "compute shingle graph" box of the paper's Figure 3.
+//
+// The second level's graph G_II is only ever read for the connected
+// components it induces on the first-level shingles, so the engines build
+// those directly from the pass-2 tuples (S1ComponentBuilder) and never
+// materialize G_II.
 
+#include <atomic>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,5 +66,69 @@ BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples);
 /// aggregate_tuples for every shard count.
 BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards);
+
+/// Connected components of the first-level shingles (S1 nodes) under G_II:
+/// two S1 nodes are connected iff some second-level shingle lists both.
+/// Only S1 nodes that own a pass-2 tuple belong to a component.
+struct S1Components {
+  static constexpr u32 kNone = ~u32{0};
+
+  std::vector<u32> of;    ///< per S1 node: its component, or kNone
+  std::size_t count = 0;  ///< components, numbered by their smallest S1 node
+};
+
+/// Builds S1Components from pass-2 tuples fed batch by batch, without
+/// sorting them or writing G_II (DESIGN.md §8). A hash map from the full
+/// 64-bit shingle id to the first owner it arrived with, sharded by
+/// bucket_of, feeds a union-find over S1 indices: a later tuple of the
+/// same id unites its owner with that first owner. Each table is sized by
+/// the distinct ids it holds (grown on load), never by the tuple count.
+/// add() first merges repeats within windows of consecutive tuples in
+/// small cache-resident tables, then moves each window's distinct ids into
+/// the shards; both phases split across the default pool's workers (one
+/// per aggregate_tuples grain of tuples; a smaller batch runs on the
+/// calling thread). The components equal those report_dense_subgraphs
+/// derives from aggregate_tuples(all tuples), for every batching.
+class S1ComponentBuilder {
+ public:
+  explicit S1ComponentBuilder(std::size_t num_s1);
+
+  /// Merges one batch of tuples, consuming it (its arrays are reused as
+  /// scratch); every owner must be < num_s1.
+  void add(ShingleTuples&& tuples);
+
+  /// Distinct shingle ids added so far: the left-node count G_II would have.
+  std::size_t num_shingles() const;
+
+  S1Components components() const;
+
+ private:
+  /// 12 bytes: the id is split in halves so padding does not round a
+  /// slot up to 16.
+  struct Slot {
+    u32 key_lo = 0, key_hi = 0;
+    u32 owner = S1Components::kNone;  ///< kNone: empty slot
+
+    ShingleId key() const { return (u64{key_hi} << 32) | key_lo; }
+  };
+  /// Open-addressing (linear probing) map from id to first owner, with a
+  /// power-of-two capacity.
+  struct Table {
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+  };
+
+  /// Unites `owner` with the id's first owner in `table`, or records it as
+  /// that first owner; returns whether the id was new to the table.
+  bool insert_or_unite(Table& table, ShingleId shingle, u32 owner);
+  u32 find(u32 x) const;
+  void unite(u32 a, u32 b);
+
+  std::size_t num_s1_;
+  std::vector<Table> shards_;
+  /// Union-find parents; parent <= node, so every root is the smallest
+  /// node of its set. kNone: the node has owned no tuple yet.
+  std::unique_ptr<std::atomic<u32>[]> parent_;
+};
 
 }  // namespace gpclust::core

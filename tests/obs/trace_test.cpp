@@ -231,10 +231,17 @@ TEST(ChromeTrace, PipelineRunEmitsLabeledSchemaValidTrace) {
 
   // The pipeline counters advanced.
   EXPECT_EQ(tracer.counter("sequences"), g.num_vertices());
-  for (const char* counter : {"tuples", "shingles", "batches", "h2d_bytes",
-                              "d2h_bytes", "arena_peak_bytes"}) {
+  for (const char* counter :
+       {"tuples", "shingles", "batches", "h2d_bytes", "d2h_bytes",
+        "arena_peak_bytes", "pass1.tuples", "pass2.tuples", "g1.shingles",
+        "g2.shingles"}) {
     EXPECT_GT(tracer.counter(counter), 0u) << "counter " << counter;
   }
+  // The per-pass counters split the summed ones.
+  EXPECT_EQ(tracer.counter("tuples"),
+            tracer.counter("pass1.tuples") + tracer.counter("pass2.tuples"));
+  EXPECT_EQ(tracer.counter("shingles"),
+            tracer.counter("g1.shingles") + tracer.counter("g2.shingles"));
 
   // Parse the export and check the schema: every span is a complete ("X")
   // event labeled host_measured or device_modeled, on the matching pid.

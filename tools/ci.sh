@@ -56,6 +56,15 @@ echo "=== tier 1b4: ingest bench smoke + perf-trajectory gate ==="
 ./build-ci/bench/bench_ingest --quick --json=build-ci/BENCH_ingest.json
 python3 tools/compare_bench.py BENCH_ingest.json build-ci/BENCH_ingest.json
 
+echo "=== tier 1b5: Table I bench smoke + perf-trajectory gate ==="
+# The paper's own pipeline: bench_table1 exits 1 if its serial and
+# gpClust partitions differ or its trace-derived device columns disagree
+# with GpClustReport; compare_bench then gates the snapshot — per-pass
+# tuple and shingle counts and D2H bytes exactly, the modeled GPU, c->g
+# and g->c columns at the modeled bound, host columns at the noise bound.
+./build-ci/bench/bench_table1 --quick --json=build-ci/BENCH_table1.json
+python3 tools/compare_bench.py BENCH_table1.json build-ci/BENCH_table1.json
+
 echo "=== tier 1c: family-index round trip (build-index -> query) ==="
 # The serving-layer smoke (store + serve unit tests run inside ctest
 # above): persist a demo family index, then classify its own ORFs back —

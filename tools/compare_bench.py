@@ -15,13 +15,14 @@ Field policy, derived from the bench_json.md conventions:
   stay below --bound. Modeled fields (``*_modeled_s``) are deterministic,
   so they get a much tighter bound (they only move when the cost model or
   schedule changes — which should be a conscious, snapshot-regenerating
-  change). The one-core CI host is noisy, hence the generous default
-  host bound; the gate is for trajectory-scale regressions (an
-  accidentally-disabled fast path), not single-digit percent drift.
+  change). The 4-vCPU CI host is shared with other work and noisy, hence
+  the generous default host bound; the gate is for trajectory-scale
+  regressions (an accidentally-disabled fast path), not single-digit
+  percent drift.
 * Throughput fields (``*_per_s``) are gated in the other direction:
   baseline/current must stay below the same bound.
 * Ratio fields (``*speedup*``) and latency quantiles (noisy on a shared
-  one-core host) are informational only.
+  4-vCPU host) are informational only.
 * Host durations where both sides sit under an absolute noise floor
   (50 ms) are informational only: a ratio bound on a handful of
   milliseconds gates scheduler jitter, not a code path.
@@ -32,7 +33,7 @@ Exit status: 0 clean, 1 regression or shape mismatch, 2 usage error.
 import json
 import sys
 
-HOST_BOUND = 2.5  # default --bound: generous, one-core shared host
+HOST_BOUND = 2.5  # default --bound: generous, 4-vCPU host shared with other work
 MODELED_BOUND = 1.001  # modeled seconds are deterministic
 HOST_FLOOR_S = 0.05  # host durations below this on both sides: not gated
 
