@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   params.c1 = 100;
   params.c2 = 50;
   core::GpClustOptions options;
-  options.pipeline.num_streams =
+  options.num_streams =
       static_cast<std::size_t>(args.get_int("streams", 1));
 
   util::AsciiTable table({"device", "GPU", "Data c->g", "Data g->c",

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
         p.c1 = regime.c1;
         p.c2 = regime.c2;
         core::GpClustOptions options;
-        options.pipeline.num_streams = streams;
+        options.num_streams = streams;
         options.max_batch_elements = batch_elements;
         core::GpClust gp(ctx, p, options);
         core::GpClustReport report;

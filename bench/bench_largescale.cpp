@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   params.c1 = static_cast<u32>(args.get_int("c1", 200));
   params.c2 = static_cast<u32>(args.get_int("c2", 100));
   core::GpClustOptions options;
-  options.pipeline.num_streams =
+  options.num_streams =
       static_cast<std::size_t>(args.get_int("streams", 1));
 
   util::WallTimer wall;

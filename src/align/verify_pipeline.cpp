@@ -3,42 +3,35 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "device/batch_pipeline.hpp"
 #include "device/primitives.hpp"
-#include "device/retry.hpp"
 #include "util/timer.hpp"
 
 namespace gpclust::align {
 
 namespace {
 
-/// One pipeline lane: a (compute, copy) stream pair plus the device
-/// buffers of the batch currently in flight on it — same discipline as the
-/// shingling pass (core/device_shingling.cpp): buffers stay allocated
-/// until the lane is reused or a fault drains the pipeline, so the arena
-/// accounts for every batch the modeled schedule keeps co-resident.
-struct Lane {
-  device::StreamId compute = device::kDefaultStream;
-  device::StreamId copy = device::kDefaultStream;
-
-  struct Buffers {
-    device::DeviceVector<char> residues;
-    device::DeviceVector<PairTask> tasks;
-    device::DeviceVector<PairScore> scores;
-
-    bool live() const { return residues.context() != nullptr; }
-  } buffers;
-};
-
-std::vector<Lane> make_lanes(std::size_t num_streams) {
-  const std::size_t count = num_streams / 2 + num_streams % 2;
-  std::vector<Lane> lanes(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    lanes[l].compute = static_cast<device::StreamId>(2 * l);
-    lanes[l].copy = static_cast<device::StreamId>(
-        std::min(2 * l + 1, num_streams - 1));
-  }
-  return lanes;
+/// The per-pair body every verify path runs: the scalar reference DP's
+/// score and scan-order end cell.
+PairScore score_pair(std::string_view a, std::string_view b,
+                     const AlignmentParams& params) {
+  const AlignmentResult r = smith_waterman(a, b, params);
+  PairScore out;
+  out.score = r.score;
+  out.a_end = static_cast<u32>(r.a_end);
+  out.b_end = static_cast<u32>(r.b_end);
+  return out;
 }
+
+/// The device buffers of the batch in flight on one pipeline lane — same
+/// discipline as the shingling pass: they stay allocated until the lane is
+/// reused or a fault drains the pipeline, so the arena accounts for every
+/// batch the modeled schedule keeps co-resident.
+struct LaneBuffers {
+  device::DeviceVector<char> residues;
+  device::DeviceVector<PairTask> tasks;
+  device::DeviceVector<PairScore> scores;
+};
 
 /// Host-side staging of one batch: the deduplicated residue buffer plus
 /// one task per pair. Reused across batches to avoid churn.
@@ -102,12 +95,12 @@ std::size_t default_batch_pairs(const device::DeviceContext& ctx,
 
 /// Runs one batch on the device. Throws DeviceError/TransferError/
 /// KernelError on any (injected or real) fault; nothing was committed and
-/// the lane's RAII buffers are drained by the caller's recovery ladder.
+/// the lane's RAII buffers are drained by the pipeline's recovery ladder.
 void process_batch_device(device::DeviceContext& ctx,
                           const BatchStaging& staging,
-                          const AlignmentParams& params, Lane& lane,
+                          const AlignmentParams& params,
+                          const device::Lane& lane, LaneBuffers& bufs,
                           std::vector<PairScore>& host_scores) {
-  Lane::Buffers& bufs = lane.buffers;
   bufs.residues = device::DeviceVector<char>(ctx, staging.residues.size());
   device::copy_to_device<char>(bufs.residues, staging.residues, lane.compute);
   bufs.tasks = device::DeviceVector<PairTask>(ctx, staging.tasks.size());
@@ -126,26 +119,6 @@ void process_batch_device(device::DeviceContext& ctx,
   device::copy_to_host<PairScore>(host_scores, bufs.scores, lane.copy,
                                   kernel_done);
 }
-
-/// Restores the context's tracer binding on scope exit (the verify call
-/// borrows the host tracer for modeled-op attribution when the context
-/// has none of its own).
-struct TracerBinding {
-  device::DeviceContext& ctx;
-  obs::Tracer* previous;
-  bool bound;
-
-  TracerBinding(device::DeviceContext& c, obs::Tracer* tracer)
-      : ctx(c), previous(c.tracer()), bound(false) {
-    if (previous == nullptr && tracer != nullptr) {
-      ctx.set_tracer(tracer);
-      bound = true;
-    }
-  }
-  ~TracerBinding() {
-    if (bound) ctx.set_tracer(previous);
-  }
-};
 
 }  // namespace
 
@@ -167,14 +140,8 @@ std::string_view verify_backend_name(VerifyBackend backend) {
 
 PairScore score_pair_task(std::span<const char> residues, const PairTask& task,
                           const AlignmentParams& params) {
-  const std::string_view a(residues.data() + task.a_begin, task.a_len);
-  const std::string_view b(residues.data() + task.b_begin, task.b_len);
-  const AlignmentResult r = smith_waterman(a, b, params);
-  PairScore out;
-  out.score = r.score;
-  out.a_end = static_cast<u32>(r.a_end);
-  out.b_end = static_cast<u32>(r.b_end);
-  return out;
+  return score_pair({residues.data() + task.a_begin, task.a_len},
+                    {residues.data() + task.b_begin, task.b_len}, params);
 }
 
 void score_pairs_batch(std::span<const char> residues,
@@ -195,20 +162,18 @@ std::vector<PairScore> device_score_pairs(device::DeviceContext& ctx,
                                           const DeviceVerifyOptions& options,
                                           obs::Tracer* tracer,
                                           VerifyDeviceStats* stats) {
-  const TracerBinding binding(ctx, tracer);
+  // Modeled ops are attributed through the context's own tracer, or the
+  // host tracer when the context has none.
+  const device::ScopedBinding binding(
+      ctx, ctx.tracer() != nullptr ? ctx.tracer() : tracer, ctx.fault_plan());
   obs::DevicePhaseScope phase_scope(ctx.tracer(), "homology.verify");
 
-  const std::size_t num_streams = std::max<std::size_t>(1, options.num_streams);
-  ctx.timeline().ensure_streams(num_streams);
-  std::vector<Lane> lanes = make_lanes(num_streams);
-
-  const fault::ResiliencePolicy& policy = options.resilience;
-  std::size_t cur_max = options.max_batch_pairs > 0
-                            ? options.max_batch_pairs
-                            : default_batch_pairs(ctx, sequences, lanes.size());
-
-  VerifyDeviceStats run_stats;
-  run_stats.num_lanes = lanes.size();
+  device::BatchPipeline pipeline(ctx, options.num_streams, options.resilience,
+                                 tracer, "homology.verify");
+  const std::size_t cap =
+      options.max_batch_pairs > 0
+          ? options.max_batch_pairs
+          : default_batch_pairs(ctx, sequences, pipeline.num_lanes());
 
   // Snapshot the modeled timeline so the reported makespan / exposed split
   // is the delta this verify adds (the context may carry earlier phases).
@@ -218,105 +183,42 @@ std::vector<PairScore> device_score_pairs(device::DeviceContext& ctx,
   const double d2h0 = ctx.d2h_exposed_seconds();
 
   std::vector<PairScore> out(surviving.size());
+  std::size_t done = 0;  // surviving pairs committed so far
   BatchStaging staging;
   std::vector<PairScore> host_scores;
-  util::WallTimer pack_timer;
+  std::vector<LaneBuffers> lanes(pipeline.num_lanes());
   double pack_seconds = 0.0;
 
-  std::size_t done = 0;
-  int consecutive_failures = 0;
-  bool cpu_mode = false;
-  std::size_t next_lane = 0;
-
-  while (done < surviving.size() && !cpu_mode) {
-    const std::size_t hi = std::min(surviving.size(), done + cur_max);
-    Lane& lane = lanes[next_lane];
-    int attempt = 0;
-    for (;;) {
-      // Reusing a lane retires its previous in-flight batch: the modeled
-      // schedule can no longer overlap it, so its buffers return to the
-      // arena before this batch allocates.
-      lane.buffers = Lane::Buffers{};
-      try {
-        {
-          // CPU packs the batch for the device — the host side that feeds
-          // the double-buffered lanes; measured, never mixed with modeled.
-          obs::HostSpan span(tracer, "homology.verify.stage");
-          pack_timer.reset();
-          pack_batch(sequences, pairs, surviving, done, hi, staging);
-          pack_seconds += pack_timer.seconds();
-        }
-        process_batch_device(ctx, staging, params, lane, host_scores);
-        // Commit: every device op of the batch succeeded.
-        std::copy(host_scores.begin(), host_scores.end(), out.begin() + done);
-        ++run_stats.num_batches;
-        done = hi;
-        consecutive_failures = 0;
-        next_lane = (next_lane + 1) % lanes.size();
-        break;
-      } catch (const DeviceError& e) {
-        // A fault drains the pipeline: every lane's in-flight buffers are
-        // released before the recovery ladder runs (PR 3 semantics).
-        bool others_held = false;
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-          if (l != next_lane && lanes[l].buffers.live()) others_held = true;
-          lanes[l].buffers = Lane::Buffers{};
-        }
-        if (others_held) {
-          ++run_stats.num_pipeline_drains;
-          obs::add_counter(tracer, "pipeline_drains", 1);
-        }
-        if (!policy.enabled()) throw;
-        const bool transient = dynamic_cast<const TransferError*>(&e) ||
-                               dynamic_cast<const KernelError*>(&e);
-        if (transient && attempt < policy.max_retries) {
-          ++attempt;
-          device::charge_retry_backoff(ctx, policy, attempt, "homology.verify",
-                                       lane.compute);
-          ++run_stats.num_retries;
-          obs::add_counter(tracer, "retries", 1);
-          continue;
-        }
-        if (!transient && others_held) {
-          // Structural OOM while other batches were co-resident: the drain
-          // just returned their memory — retry at the same size first.
-          continue;
-        }
-        if (!transient && cur_max > policy.min_batch_elements) {
-          // Adaptive batch backoff: halve and re-slice the remaining pairs
-          // (slices are order-preserving, so any re-batching commits the
-          // same scores).
-          cur_max = std::max(policy.min_batch_elements, cur_max / 2);
-          ++run_stats.num_batch_replans;
-          obs::add_counter(tracer, "batch_replans", 1);
-          break;
-        }
-        if (!policy.fallback_enabled()) throw;
-        ++consecutive_failures;
-        if (consecutive_failures >= policy.max_consecutive_failures) {
-          cpu_mode = true;
-        }
-        break;
-      }
+  device::BatchPass pass;
+  pass.has_work = [&] { return done < surviving.size(); };
+  // Each batch is sliced from the remainder as it runs: nothing to re-plan.
+  pass.replan = [] {};
+  pass.run_batch = [&](std::size_t batch_cap, const device::Lane& lane,
+                       std::size_t slot) {
+    const std::size_t hi = std::min(surviving.size(), done + batch_cap);
+    {
+      // CPU packs the batch for the device — the host side that feeds the
+      // double-buffered lanes; measured, never mixed with modeled.
+      obs::HostSpan span(tracer, "homology.verify.stage");
+      util::WallTimer pack_timer;
+      pack_batch(sequences, pairs, surviving, done, hi, staging);
+      pack_seconds += pack_timer.seconds();
     }
-  }
-
-  if (cpu_mode && done < surviving.size()) {
-    // Bit-identical CPU continuation: the fallback runs the same per-task
-    // body the kernel runs, directly on the host sequences.
-    run_stats.cpu_fallback = true;
-    obs::add_counter(tracer, "cpu_fallbacks", 1);
+    process_batch_device(ctx, staging, params, lane, lanes[slot], host_scores);
+    std::copy(host_scores.begin(), host_scores.end(), out.begin() + done);
+    done = hi;
+  };
+  pass.release_lane = [&](std::size_t slot) { lanes[slot] = LaneBuffers{}; };
+  pass.finish_on_cpu = [&] {
     obs::HostSpan span(tracer, "homology.verify.cpu_fallback");
-    for (std::size_t k = done; k < surviving.size(); ++k) {
-      const CandidatePair& p = pairs[surviving[k]];
-      const std::string& a = sequences[p.a].residues;
-      const std::string& b = sequences[p.b].residues;
-      const AlignmentResult r = smith_waterman(a, b, params);
-      out[k].score = r.score;
-      out[k].a_end = static_cast<u32>(r.a_end);
-      out[k].b_end = static_cast<u32>(r.b_end);
+    for (; done < surviving.size(); ++done) {
+      const CandidatePair& p = pairs[surviving[done]];
+      out[done] = score_pair(sequences[p.a].residues, sequences[p.b].residues,
+                             params);
     }
-  }
+  };
+  VerifyDeviceStats run_stats;
+  pipeline.run(pass, cap, run_stats);
 
   run_stats.pack_host_s = pack_seconds;
   run_stats.makespan_modeled_s = ctx.makespan() - makespan0;

@@ -14,9 +14,11 @@
 //
 // All three produce the same accept decisions for the same config; the
 // backend only moves where (and in whose time domain) the DP cells burn.
-// Device faults compose through the PR 2 seams: OOM halves the batch,
-// transient transfer/kernel faults retry with charged backoff, and
-// Fallback mode finishes the remaining pairs on the CPU, bit-identically.
+// The DeviceBatched backend runs on device::BatchPipeline, the scheduler
+// the shingling pass runs on too: OOM halves the batch, transient
+// transfer/kernel faults retry with charged backoff, and Fallback mode
+// finishes the remaining pairs on the CPU with the kernel's per-pair body,
+// bit-identically.
 
 #include <span>
 #include <string>
@@ -24,6 +26,7 @@
 
 #include "align/kmer_index.hpp"
 #include "align/smith_waterman.hpp"
+#include "device/batch_pipeline.hpp"
 #include "device/device_context.hpp"
 #include "fault/resilience.hpp"
 #include "obs/trace.hpp"
@@ -67,12 +70,13 @@ struct PairScore {
 
 /// Scores one task against a packed residue buffer with the scalar
 /// reference DP — the batched kernel's per-task body, also usable host-side.
+/// The CPU fallback runs the same per-pair body on the unpacked sequences.
 PairScore score_pair_task(std::span<const char> residues, const PairTask& task,
                           const AlignmentParams& params);
 
 /// Host batched score-only entry point: out[i] = score of tasks[i].
 /// Bit-identical to the device kernel by construction (same per-task body);
-/// this is also what the CPU fallback of the device scheduler runs.
+/// the reference the tests hold the batched kernel to.
 void score_pairs_batch(std::span<const char> residues,
                        std::span<const PairTask> tasks,
                        std::span<PairScore> out,
@@ -88,28 +92,19 @@ struct DeviceVerifyOptions {
   std::size_t max_batch_pairs = 0;
 
   /// Device streams for the lane pipeline (1 = synchronous; 2 = one lane
-  /// with a dedicated copy stream; 2L = L batches in flight). Same lane
-  /// layout as the shingling pass (DESIGN.md §8).
+  /// with a dedicated copy stream; 2L = L batches in flight; 0 is
+  /// rejected). See device::BatchPipeline (DESIGN.md §8).
   std::size_t num_streams = 1;
 
   /// Fault reaction: OOM batch-halving, bounded retries with charged
-  /// backoff, bit-identical CPU fallback (PR 2 semantics).
+  /// backoff, bit-identical CPU fallback (device::BatchPipeline's ladder).
   fault::ResiliencePolicy resilience;
 };
 
 /// Bookkeeping of one device-batched verify run. Host fields are measured
 /// wall time; *_modeled_s fields are simulated device seconds — never add
 /// the two domains into one number without labeling (CLAUDE.md).
-struct VerifyDeviceStats {
-  std::size_t num_batches = 0;
-  std::size_t num_lanes = 0;
-
-  // Recovery bookkeeping (all zero on a fault-free run).
-  std::size_t num_retries = 0;
-  std::size_t num_batch_replans = 0;
-  std::size_t num_pipeline_drains = 0;
-  bool cpu_fallback = false;  ///< remaining pairs finished on the CPU
-
+struct VerifyDeviceStats : device::BatchPipelineStats {
   /// Host-measured seconds spent packing batches (the CPU side that feeds
   /// the double-buffered lanes).
   double pack_host_s = 0.0;

@@ -4,48 +4,25 @@
 #include <unordered_map>
 
 #include "core/shingle.hpp"
+#include "device/batch_pipeline.hpp"
 #include "device/primitives.hpp"
-#include "device/retry.hpp"
 #include "obs/trace.hpp"
 
 namespace gpclust::core {
 
 namespace {
 
-/// One pipeline lane: a (compute, copy) stream pair plus the device
-/// buffers of the batch currently in flight on it. The buffers outlive the
-/// batch's (synchronously executed) computation until the lane is reused —
-/// or a fault drains the pipeline — so the arena accounts for every batch
-/// the modeled schedule keeps co-resident, exactly like real
+/// The device buffers of the batch in flight on one pipeline lane. They
+/// outlive the batch's (synchronously executed) computation until the lane
+/// is reused — or a fault drains the pipeline — so the arena accounts for
+/// every batch the modeled schedule keeps co-resident, exactly like real
 /// double-buffered staging would.
-struct Lane {
-  device::StreamId compute = device::kDefaultStream;
-  device::StreamId copy = device::kDefaultStream;
-
-  struct Buffers {
-    device::DeviceVector<u32> members;
-    device::DeviceVector<u64> offsets;
-    device::DeviceVector<u64> perm;
-    device::DeviceVector<u64> minima[2];
-
-    bool live() const { return members.context() != nullptr; }
-  } buffers;
+struct LaneBuffers {
+  device::DeviceVector<u32> members;
+  device::DeviceVector<u64> offsets;
+  device::DeviceVector<u64> perm;
+  device::DeviceVector<u64> minima[2];
 };
-
-/// Lane layout for a stream budget k: L = ceil(k/2) lanes, lane l
-/// computing on stream 2l and copying on stream 2l+1 (the last lane shares
-/// one stream when k is odd; k=1 degenerates to the fully synchronous
-/// single-stream schedule).
-std::vector<Lane> make_lanes(std::size_t num_streams) {
-  const std::size_t count = num_streams / 2 + num_streams % 2;
-  std::vector<Lane> lanes(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    lanes[l].compute = static_cast<device::StreamId>(2 * l);
-    lanes[l].copy = static_cast<device::StreamId>(
-        std::min(2 * l + 1, num_streams - 1));
-  }
-  return lanes;
-}
 
 /// Per-split-list accumulator: s minima per trial, merged piece by piece.
 struct PendingList {
@@ -145,7 +122,8 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
                                   const std::string& cpu_metric,
                                   obs::Tracer* tracer,
                                   const std::string& trace_phase,
-                                  const PendingMap& committed, Lane& lane,
+                                  const PendingMap& committed,
+                                  const device::Lane& lane, LaneBuffers& bufs,
                                   std::vector<u32>& staging,
                                   std::vector<u64>& host_minima) {
   BatchEffects fx;
@@ -179,7 +157,6 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
 
   // Upload members and segment boundaries once per batch, into the lane's
   // in-flight buffer set (kept allocated until the lane is reused).
-  Lane::Buffers& bufs = lane.buffers;
   bufs.members = device::DeviceVector<u32>(ctx, nelems);
   device::copy_to_device<u32>(bufs.members, staging, lane.compute);
   bufs.offsets = device::DeviceVector<u64>(ctx, nsegs + 1);
@@ -328,18 +305,14 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
   obs::Tracer* tracer = ctx.tracer();
   obs::DevicePhaseScope phase_scope(tracer, trace_phase);
 
-  const std::size_t num_streams = options.num_streams;
-  GPCLUST_CHECK(num_streams >= 1, "need at least one device stream");
-  ctx.timeline().ensure_streams(num_streams);
-  std::vector<Lane> lanes = make_lanes(num_streams);
-
-  const fault::ResiliencePolicy& policy = options.resilience;
-  std::size_t cur_max =
+  device::BatchPipeline pipeline(ctx, options.num_streams, options.resilience,
+                                 tracer, trace_phase);
+  const std::size_t cap =
       options.max_batch_elements > 0
           ? options.max_batch_elements
-          : default_batch_elements(ctx, s, lanes.size());
+          : default_batch_elements(ctx, s, pipeline.num_lanes());
 
-  std::vector<ListPiece> pieces;
+  std::vector<ListPiece> pieces;  // uncommitted pieces, as last planned
   {
     util::ScopedTimer t(reg, cpu_metric);
     obs::HostSpan span(tracer, trace_phase + ".plan");
@@ -350,9 +323,8 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
   PendingMap pending;
   std::vector<u32> staging;
   std::vector<u64> host_minima;
-
+  std::vector<LaneBuffers> lanes(pipeline.num_lanes());
   DevicePassStats run_stats;
-  run_stats.num_lanes = lanes.size();
   // The one place a batch's effects land: the device path, its retries
   // and replans, and the CPU fallback all commit through here.
   const auto commit = [&](BatchEffects&& fx) {
@@ -365,107 +337,41 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
     }
     if (sink) sink(std::move(fx.tuples));
   };
-  int consecutive_failures = 0;
-  bool cpu_mode = false;
-  std::size_t next_lane = 0;
 
-  while (!pieces.empty() && !cpu_mode) {
-    BatchPlan plan;
-    {
+  // Every batch of the remaining pieces is planned at once, and planned
+  // again only after a replan.
+  BatchPlan plan;  // empty until the next run_batch plans the remainder
+  std::size_t next_batch = 0;
+  std::size_t consumed = 0;  // elements of plan's committed batches
+  device::BatchPass pass;
+  pass.has_work = [&] { return !pieces.empty(); };
+  pass.replan = [&] {
+    pieces = remaining_pieces(pieces, consumed);
+    plan.batches.clear();
+  };
+  pass.run_batch = [&](std::size_t batch_cap, const device::Lane& lane,
+                       std::size_t slot) {
+    if (plan.batches.empty()) {
       util::ScopedTimer t(reg, cpu_metric);
       obs::HostSpan span(tracer, trace_phase + ".plan");
-      plan = plan_batches_from_pieces(pieces, cur_max);
+      plan = plan_batches_from_pieces(pieces, batch_cap);
+      next_batch = 0;
+      consumed = 0;
     }
-
-    std::size_t consumed = 0;
-    bool replan = false;
-    for (const Batch& batch : plan.batches) {
-      int attempt = 0;
-      Lane& lane = lanes[next_lane];
-      for (;;) {
-        // Reusing a lane retires its previous in-flight batch: the modeled
-        // schedule can no longer overlap that batch, so its device buffers
-        // return to the arena before this batch allocates.
-        lane.buffers = Lane::Buffers{};
-        try {
-          commit(process_batch_device(ctx, batch, members, family, s, reg,
-                                      cpu_metric, tracer, trace_phase,
-                                      pending, lane, staging, host_minima));
-          for (std::size_t seg = 0; seg < batch.num_segments(); ++seg) {
-            if (batch.seg_starts_list[seg] && !batch.seg_ends_list[seg]) {
-              ++run_stats.num_split_lists;
-            }
-          }
-          ++run_stats.num_batches;
-          consumed += batch.num_elements();
-          consecutive_failures = 0;
-          next_lane = (next_lane + 1) % lanes.size();
-          break;
-        } catch (const DeviceError& e) {
-          // A fault drains the pipeline: every lane's in-flight buffers are
-          // released before the recovery ladder runs, so retries and
-          // replans see the arena exactly as a fresh pass would. With one
-          // lane nothing else is ever in flight and the ladder below is
-          // byte-for-byte the non-pipelined behavior.
-          bool others_held = false;
-          for (std::size_t l = 0; l < lanes.size(); ++l) {
-            if (l != next_lane && lanes[l].buffers.live()) others_held = true;
-            lanes[l].buffers = Lane::Buffers{};
-          }
-          if (others_held) {
-            ++run_stats.num_pipeline_drains;
-            obs::add_counter(tracer, "pipeline_drains", 1);
-          }
-          if (!policy.enabled()) throw;
-          const bool transient = dynamic_cast<const TransferError*>(&e) ||
-                                 dynamic_cast<const KernelError*>(&e);
-          if (transient && attempt < policy.max_retries) {
-            // Bounded retry of the whole (uncommitted) batch, with the
-            // deterministic backoff charged to the faulted lane's compute
-            // stream on the modeled timeline.
-            ++attempt;
-            device::charge_retry_backoff(ctx, policy, attempt, trace_phase,
-                                          lane.compute);
-            ++run_stats.num_retries;
-            obs::add_counter(tracer, "retries", 1);
-            continue;
-          }
-          if (!transient && others_held) {
-            // Structural OOM while other batches were co-resident: the
-            // drain just returned their memory, so retry at the same size
-            // before concluding the batch size itself is the problem.
-            continue;
-          }
-          if (!transient && cur_max > policy.min_batch_elements) {
-            // Adaptive batch backoff: halve the batch size and replan the
-            // remaining pieces (the split-list merge keeps the partition
-            // bit-identical across any re-batching).
-            cur_max = std::max(policy.min_batch_elements, cur_max / 2);
-            ++run_stats.num_batch_replans;
-            obs::add_counter(tracer, "batch_replans", 1);
-            replan = true;
-            break;
-          }
-          // Unrecoverable here: retries exhausted or OOM at the batch-size
-          // floor. In Fallback mode tolerate up to max_consecutive_failures
-          // full re-attempts, then degrade the rest of the pass to the CPU.
-          if (!policy.fallback_enabled()) throw;
-          ++consecutive_failures;
-          if (consecutive_failures >= policy.max_consecutive_failures) {
-            cpu_mode = true;
-          }
-          replan = true;
-          break;
-        }
+    const Batch& batch = plan.batches[next_batch];
+    commit(process_batch_device(ctx, batch, members, family, s, reg,
+                                cpu_metric, tracer, trace_phase, pending, lane,
+                                lanes[slot], staging, host_minima));
+    for (std::size_t seg = 0; seg < batch.num_segments(); ++seg) {
+      if (batch.seg_starts_list[seg] && !batch.seg_ends_list[seg]) {
+        ++run_stats.num_split_lists;
       }
-      if (replan || cpu_mode) break;
     }
-    pieces = remaining_pieces(pieces, consumed);
-  }
-
-  if (cpu_mode && !pieces.empty()) {
-    run_stats.cpu_fallback = true;
-    obs::add_counter(tracer, "cpu_fallbacks", 1);
+    consumed += batch.num_elements();
+    if (++next_batch == plan.batches.size()) pass.replan();
+  };
+  pass.release_lane = [&](std::size_t slot) { lanes[slot] = LaneBuffers{}; };
+  pass.finish_on_cpu = [&] {
     BatchEffects fx;
     {
       util::ScopedTimer t(reg, cpu_metric);
@@ -474,7 +380,8 @@ ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
     }
     commit(std::move(fx));
     pieces.clear();
-  }
+  };
+  pipeline.run(pass, cap, run_stats);
   GPCLUST_CHECK(pending.empty(), "unfinished split lists after final batch");
 
   obs::add_counter(tracer, "batches", run_stats.num_batches);

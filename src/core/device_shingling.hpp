@@ -14,14 +14,14 @@
 // fused per-segment s-minima scan per trial, while each kernel keeps its
 // own fault point and is charged its unchanged modeled cost.
 //
-// Stream pipelining (DESIGN.md §8): the pass schedules batches over
-// `num_streams` device streams organized as lanes — each lane a
-// (compute, copy) stream pair holding one batch in flight, with the
-// trial minima double-buffered inside the lane so D2H copies overlap the
-// next trial's kernels, and up to lane-count batches co-resident so batch
-// i's D2H overlaps batch i+1's H2D and kernels. num_streams=1 is the
-// paper's synchronous Thrust behavior; num_streams=2 is one lane with a
-// dedicated copy stream (the single-lane overlap engine).
+// Stream pipelining (DESIGN.md §8): the pass runs on device::BatchPipeline,
+// which lays `num_streams` device streams out as lanes — each lane a
+// (compute, copy) stream pair holding one batch in flight — and owns the
+// fault-recovery ladder. Inside a lane the trial minima are
+// double-buffered so D2H copies overlap the next trial's kernels; up to
+// lane-count batches are co-resident so batch i's D2H overlaps batch
+// i+1's H2D and kernels. num_streams=1 is the paper's synchronous Thrust
+// behavior; num_streams=2 is one lane with a dedicated copy stream.
 
 #include <functional>
 
@@ -29,8 +29,8 @@
 #include "core/minhash.hpp"
 #include "core/params.hpp"
 #include "core/shingle_graph.hpp"
+#include "device/batch_pipeline.hpp"
 #include "device/device_context.hpp"
-#include "device/retry.hpp"
 #include "fault/resilience.hpp"
 #include "util/timer.hpp"
 
@@ -39,33 +39,24 @@ namespace gpclust::core {
 struct DevicePassOptions {
   std::size_t max_batch_elements = 0;  ///< 0: derive from device memory
 
-  /// Device streams available to the pipeline scheduler (1 = the paper's
-  /// synchronous behavior). See PipelineParams::num_streams.
+  /// Device streams the batch pipeline lays its lanes over (1 = the
+  /// paper's synchronous behavior; see device::BatchPipeline).
   std::size_t num_streams = 1;
 
   /// How the pass reacts to device faults (injected or real): adaptive
   /// batch backoff on OOM, bounded retries for transient transfer/kernel
   /// faults, and (in Fallback mode) bit-identical CPU processing of the
-  /// remaining pieces after repeated unrecoverable faults. Faults compose
-  /// with the stream pipeline by draining every in-flight batch buffer
-  /// before the recovery ladder runs (see DevicePassStats).
+  /// remaining pieces after repeated unrecoverable faults — the one ladder
+  /// of device::BatchPipeline.
   fault::ResiliencePolicy resilience;
 };
 
 /// Receives a pass's tuples one batch at a time, as each batch commits.
 using TupleSink = std::function<void(ShingleTuples&&)>;
 
-struct DevicePassStats {
-  std::size_t num_batches = 0;
+struct DevicePassStats : device::BatchPipelineStats {
   std::size_t num_split_lists = 0;
   std::size_t num_tuples = 0;
-  std::size_t num_lanes = 0;  ///< pipeline lanes used ((streams + 1) / 2)
-
-  // Recovery bookkeeping (all zero on a fault-free run).
-  std::size_t num_retries = 0;       ///< transient-fault batch retries
-  std::size_t num_batch_replans = 0; ///< OOM-driven batch-size halvings
-  std::size_t num_pipeline_drains = 0; ///< faults that flushed in-flight lanes
-  bool cpu_fallback = false;         ///< pass finished on the CPU
 };
 
 /// Derives the largest safe batch size (in member elements) from the

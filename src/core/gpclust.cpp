@@ -6,48 +6,6 @@
 
 namespace gpclust::core {
 
-namespace {
-
-/// Binds the run's tracer to the device context for the duration of the
-/// run (and unbinds on any exit path, including exceptions), so modeled
-/// ops, transfer bytes and the arena high-water mark land in the tracer.
-class ScopedDeviceTracer {
- public:
-  ScopedDeviceTracer(device::DeviceContext& ctx, obs::Tracer* tracer)
-      : ctx_(ctx), previous_(ctx.tracer()) {
-    ctx_.set_tracer(tracer);
-  }
-  ~ScopedDeviceTracer() { ctx_.set_tracer(previous_); }
-
-  ScopedDeviceTracer(const ScopedDeviceTracer&) = delete;
-  ScopedDeviceTracer& operator=(const ScopedDeviceTracer&) = delete;
-
- private:
-  device::DeviceContext& ctx_;
-  obs::Tracer* previous_;
-};
-
-/// Binds the run's fault plan to the device context for the duration of
-/// the run (restoring the previous binding on any exit path), mirroring
-/// ScopedDeviceTracer.
-class ScopedDeviceFault {
- public:
-  ScopedDeviceFault(device::DeviceContext& ctx, fault::FaultPlan* plan)
-      : ctx_(ctx), previous_(ctx.fault_plan()) {
-    ctx_.set_fault_plan(plan);
-  }
-  ~ScopedDeviceFault() { ctx_.set_fault_plan(previous_); }
-
-  ScopedDeviceFault(const ScopedDeviceFault&) = delete;
-  ScopedDeviceFault& operator=(const ScopedDeviceFault&) = delete;
-
- private:
-  device::DeviceContext& ctx_;
-  fault::FaultPlan* previous_;
-};
-
-}  // namespace
-
 GpClust::GpClust(device::DeviceContext& ctx, ShinglingParams params,
                  GpClustOptions options)
     : ctx_(ctx), params_(params), options_(options) {}
@@ -75,14 +33,14 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
   ctx_.reset_timeline();
 
   obs::Tracer* tracer = options_.tracer;
-  ScopedDeviceTracer bind(ctx_, tracer);
-  ScopedDeviceFault bind_fault(ctx_, options_.fault_plan);
+  // Modeled ops, transfer bytes and the arena high-water mark land in the
+  // run's tracer; the run's fault plan fires at the device's sites.
+  const device::ScopedBinding bind(ctx_, tracer, options_.fault_plan);
   obs::add_counter(tracer, "sequences", g.num_vertices());
 
-  options_.pipeline.validate();
   util::MetricsRegistry reg;
   DevicePassOptions pass_options;
-  pass_options.num_streams = options_.pipeline.num_streams;
+  pass_options.num_streams = options_.num_streams;
   pass_options.max_batch_elements = options_.max_batch_elements;
   pass_options.resilience = options_.resilience;
 

@@ -26,10 +26,11 @@ class Tracer;
 namespace gpclust::core {
 
 struct GpClustOptions {
-  /// Execution shape of the CPU-GPU pipeline (DESIGN.md §8): device
-  /// streams for the batch scheduler. It never changes the clustering
-  /// result — only modeled device time.
-  PipelineParams pipeline;
+  /// Device streams the batch pipeline lays its lanes over (DESIGN.md §8):
+  /// 1 is the paper's synchronous behavior, 2 one lane with a dedicated
+  /// copy stream, 2L L batches in flight; 0 is rejected. It never changes
+  /// the clustering result — only modeled device time.
+  std::size_t num_streams = 1;
 
   /// Cap on member elements per device batch; 0 derives it from free
   /// device memory. Tests use small values to force splits.

@@ -37,7 +37,12 @@ u64 parse_u64(std::string_view s, const std::string& entry) {
       throw InvalidArgument("fault spec: bad number '" + std::string(s) +
                             "' in " + entry);
     }
-    value = value * 10 + static_cast<u64>(c - '0');
+    const u64 digit = static_cast<u64>(c - '0');
+    if (value > (~u64{0} - digit) / 10) {
+      throw InvalidArgument("fault spec: number '" + std::string(s) +
+                            "' out of range in " + entry);
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -135,15 +140,8 @@ std::string FaultPlan::to_string() const {
     out += entry;
   };
   for (const SiteInfo& info : kSites) {
-    const auto& indices = schedule_[static_cast<std::size_t>(info.site)];
-    auto it = indices.begin();
-    while (it != indices.end()) {
-      const u64 lo = *it;
-      u64 hi = lo;
-      while (std::next(it) != indices.end() && *std::next(it) == hi + 1) {
-        hi = *++it;
-      }
-      ++it;
+    const auto& intervals = schedule_[static_cast<std::size_t>(info.site)];
+    for (const auto& [lo, hi] : intervals) {
       std::string entry = std::string(info.kind) + "@" +
                           std::string(info.name) + ":" + std::to_string(lo);
       if (hi != lo) entry += "-" + std::to_string(hi);
@@ -157,15 +155,26 @@ std::string FaultPlan::to_string() const {
 }
 
 void FaultPlan::add(FaultSite site, u64 index) {
-  std::lock_guard lock(mu_);
-  schedule_[static_cast<std::size_t>(site)].insert(index);
+  add_range(site, index, index);
 }
 
 void FaultPlan::add_range(FaultSite site, u64 lo, u64 hi) {
   GPCLUST_CHECK(lo <= hi, "fault range must be non-empty");
   std::lock_guard lock(mu_);
-  auto& indices = schedule_[static_cast<std::size_t>(site)];
-  for (u64 i = lo; i <= hi; ++i) indices.insert(i);
+  auto& intervals = schedule_[static_cast<std::size_t>(site)];
+  // Absorb every interval that overlaps or touches [lo, hi], so the
+  // intervals stay disjoint and non-adjacent (to_string's collapsed form).
+  auto it = intervals.upper_bound(lo);
+  if (it != intervals.begin() &&
+      (lo == 0 || std::prev(it)->second >= lo - 1)) {
+    --it;
+  }
+  while (it != intervals.end() && (hi == ~u64{0} || it->first <= hi + 1)) {
+    lo = std::min(lo, it->first);
+    hi = std::max(hi, it->second);
+    it = intervals.erase(it);
+  }
+  intervals.emplace(lo, hi);
 }
 
 void FaultPlan::add_rank_down(std::size_t rank) {
@@ -185,7 +194,10 @@ bool FaultPlan::should_fault(FaultSite site) {
   std::lock_guard lock(mu_);
   const std::size_t s = static_cast<std::size_t>(site);
   const u64 index = calls_[s]++;
-  const bool fire = schedule_[s].count(index) > 0;
+  const auto& intervals = schedule_[s];
+  const auto it = intervals.upper_bound(index);
+  const bool fire =
+      it != intervals.begin() && std::prev(it)->second >= index;
   if (fire) ++injected_;
   return fire;
 }

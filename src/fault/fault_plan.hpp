@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstddef>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -85,7 +86,9 @@ class FaultPlan {
 
  private:
   mutable std::mutex mu_;
-  std::array<std::set<u64>, kNumFaultSites> schedule_;
+  /// Per site: disjoint, non-adjacent [lo, hi] intervals keyed by lo, so a
+  /// range costs one entry whatever its length.
+  std::array<std::map<u64, u64>, kNumFaultSites> schedule_;
   std::set<std::size_t> down_ranks_;
   std::array<u64, kNumFaultSites> calls_{};
   u64 injected_ = 0;

@@ -293,28 +293,51 @@ struct PinnedTimeline {
   std::size_t streams;
   std::size_t batch;
   const char* plan;
+  fault::ResilienceMode mode;
   double makespan, gpu, h2d, d2h, gpu_exposed, h2d_exposed, d2h_exposed;
   std::size_t arena_peak;
+  /// Recovery counters summed over both passes; `fallbacks` counts the
+  /// passes that finished on the CPU.
+  std::size_t retries, replans, drains, fallbacks;
 };
 
 TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
   // Recorded from the unfused emulation (one host pass per kernel) on the
   // same graph; the fused scan must leave every modeled number unchanged,
-  // with and without faults.
+  // with and without faults. The last three rows, one per rung of the
+  // fault ladder, were recorded before the shingling and verify passes
+  // shared one batch pipeline.
+  using Mode = fault::ResilienceMode;
   const PinnedTimeline pins[] = {
-      {1, 64, "", 0x1.36bbbe5c9c8d7p-6, 0x1.a0b1e6c26c4b1p-8,
+      {1, 64, "", Mode::Off, 0x1.36bbbe5c9c8d7p-6, 0x1.a0b1e6c26c4b1p-8,
        0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.a0b1e6c26c4ap-8,
-       0x1.2b3f73de49216p-9, 0x1.524eac6070ad9p-7, 1776},
-      {4, 64, "", 0x1.584088dc321a7p-7, 0x1.a0b1e6c26c4b1p-8,
+       0x1.2b3f73de49216p-9, 0x1.524eac6070ad9p-7, 1776, 0, 0, 0, 0},
+      {4, 64, "", Mode::Off, 0x1.584088dc321a7p-7, 0x1.a0b1e6c26c4b1p-8,
        0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.0eb34c1d39f84p-14,
-       0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472},
-      {1, 0, "", 0x1.4c615788d2f7fp-9, 0x1.f4d4d3ac64f85p-11,
+       0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472, 0, 0, 0, 0},
+      {1, 0, "", Mode::Off, 0x1.4c615788d2f7fp-9, 0x1.f4d4d3ac64f85p-11,
        0x1.25e516f087672p-12, 0x1.54deff7f5199cp-10, 0x1.f4d4d3ac64f88p-11,
-       0x1.25e516f087671p-12, 0x1.54deff7f5199ep-10, 17452},
-      {2, 64, "kernel_fail@kernel:5,xfer_fail@d2h:7", 0x1.8f6ad70e6f2e8p-7,
-       0x1.c6a4949f5ed48p-8, 0x1.46628fed1d7a6p-9, 0x1.5e2e08a6ed951p-7,
-       0x1.06385358979c4p-10, 0x1.075c3fc6ea61dp-11, 0x1.5e2e08a6ed94dp-7,
-       1776},
+       0x1.25e516f087671p-12, 0x1.54deff7f5199ep-10, 17452, 0, 0, 0, 0},
+      {2, 64, "kernel_fail@kernel:5,xfer_fail@d2h:7", Mode::Retry,
+       0x1.8f6ad70e6f2e8p-7, 0x1.c6a4949f5ed48p-8, 0x1.46628fed1d7a6p-9,
+       0x1.5e2e08a6ed951p-7, 0x1.06385358979c4p-10, 0x1.075c3fc6ea61dp-11,
+       0x1.5e2e08a6ed94dp-7, 1776, 2, 0, 0, 0},
+      // OOM replan: the batch at the allocation fault is halved.
+      {1, 64, "oom@alloc:7", Mode::Retry, 0x1.e671232dd77adp-6,
+       0x1.46620f13c42edp-7, 0x1.bc13c1febd8adp-9, 0x1.0bbda3641db66p-6,
+       0x1.46620f13c425fp-7, 0x1.bc13c1febd8d4p-9, 0x1.0bbda3641db63p-6, 1776,
+       0, 1, 0, 0},
+      // Drain: lane 1's allocation faults while lane 0 holds its batch, so
+      // the pipeline drains and retries at the same size.
+      {4, 64, "oom@alloc:7", Mode::Retry, 0x1.584088dc321a7p-7,
+       0x1.a0b1e6c26c4b1p-8, 0x1.38ce52b3d707cp-9, 0x1.524eac6070ae1p-7,
+       0x1.0eb34c1d39f84p-14, 0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472,
+       0, 0, 1, 0},
+      // Persistent kernel faults: both passes finish on the CPU.
+      {2, 64, "kernel_fail@kernel:30-99999", Mode::Fallback,
+       0x1.428205a937469p-8, 0x1.9920cdd5e148ap-9, 0x1.b46019703e818p-10,
+       0x1.0f5f18944b7bfp-11, 0x1.66fc38753c6d2p-9, 0x1.b46019703e82p-10,
+       0x1.0f5f18944b7bfp-11, 1736, 12, 0, 0, 2},
   };
   const auto g = pinned_graph();
   ShinglingParams params;
@@ -327,13 +350,14 @@ TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
     fault::FaultPlan plan = fault::FaultPlan::parse(pin.plan);
     GpClustOptions options;
     options.max_batch_elements = pin.batch;
-    options.pipeline.num_streams = pin.streams;
-    if (!plan.empty()) {
-      options.fault_plan = &plan;
-      options.resilience.mode = fault::ResilienceMode::Retry;
-    }
+    options.num_streams = pin.streams;
+    if (!plan.empty()) options.fault_plan = &plan;
+    options.resilience.mode = pin.mode;
     GpClustReport report;
     GpClust(ctx, params, options).cluster(g, &report);
+    const auto sum = [&](std::size_t DevicePassStats::*field) {
+      return report.pass1.*field + report.pass2.*field;
+    };
     EXPECT_DOUBLE_EQ(report.device_makespan, pin.makespan);
     EXPECT_DOUBLE_EQ(report.gpu_seconds, pin.gpu);
     EXPECT_DOUBLE_EQ(report.h2d_seconds, pin.h2d);
@@ -342,6 +366,13 @@ TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
     EXPECT_DOUBLE_EQ(report.h2d_exposed_seconds, pin.h2d_exposed);
     EXPECT_DOUBLE_EQ(report.d2h_exposed_seconds, pin.d2h_exposed);
     EXPECT_EQ(ctx.arena().peak(), pin.arena_peak);
+    EXPECT_EQ(sum(&DevicePassStats::num_retries), pin.retries);
+    EXPECT_EQ(sum(&DevicePassStats::num_batch_replans), pin.replans);
+    EXPECT_EQ(sum(&DevicePassStats::num_pipeline_drains), pin.drains);
+    EXPECT_EQ(std::size_t{report.pass1.cpu_fallback} +
+                  std::size_t{report.pass2.cpu_fallback},
+              pin.fallbacks);
+    EXPECT_EQ(ctx.arena().used(), 0u);
   }
 }
 

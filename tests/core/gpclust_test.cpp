@@ -91,7 +91,7 @@ TEST_F(GpClustTest, AsyncProducesIdenticalClustersWithSmallerMakespan) {
   sync_c.normalize();
 
   GpClustOptions async_opt;
-  async_opt.pipeline.num_streams = 2;  // single-lane transfer overlap
+  async_opt.num_streams = 2;  // single-lane transfer overlap
   GpClust async_gp(ctx_, test_params(), async_opt);
   GpClustReport async_report;
   auto async_c = async_gp.cluster(g, &async_report);

@@ -272,7 +272,7 @@ TEST(FusedAggregation, GpClustMatchesReferenceAcrossBatchesAndStreams) {
         obs::Tracer tracer;
         GpClustOptions options;
         options.max_batch_elements = batch;
-        options.pipeline.num_streams = streams;
+        options.num_streams = streams;
         options.tracer = &tracer;
         GpClustReport report;
         const Clustering got =

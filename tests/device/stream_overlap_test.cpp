@@ -93,7 +93,7 @@ core::GpClustReport run_with_streams(const graph::CsrGraph& g,
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
   core::GpClustOptions options;
   options.max_batch_elements = 97;  // same batch partition for every k
-  options.pipeline.num_streams = streams;
+  options.num_streams = streams;
   core::GpClustReport report;
   core::GpClust(ctx, overlap_test_params(), options).cluster(g, &report);
   EXPECT_EQ(ctx.arena().used(), 0u) << "streams=" << streams;
@@ -181,7 +181,7 @@ TEST(StreamOverlap, StreamsShardsAndResilienceAllMatchSerial) {
       device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
       core::GpClustOptions options;
       options.max_batch_elements = 97;
-      options.pipeline.num_streams = streams;
+      options.num_streams = streams;
       if (chaos) {
         plan = fault::FaultPlan::parse(kChaosSpec);
         options.fault_plan = &plan;
@@ -211,7 +211,7 @@ TEST(StreamOverlap, MidPipelineOomDrainsLanesAndRetriesAtFullSize) {
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
   core::GpClustOptions options;
   options.max_batch_elements = 97;
-  options.pipeline.num_streams = 8;
+  options.num_streams = 8;
   options.fault_plan = &plan;
   options.resilience.mode = fault::ResilienceMode::Retry;
   core::GpClustReport report;
@@ -234,7 +234,7 @@ TEST(StreamOverlap, SingleLaneKeepsSeedResilienceSemantics) {
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
   core::GpClustOptions options;
   options.max_batch_elements = 97;
-  options.pipeline.num_streams = 1;
+  options.num_streams = 1;
   options.fault_plan = &plan;
   options.resilience.mode = fault::ResilienceMode::Retry;
   core::GpClustReport report;

@@ -29,6 +29,27 @@ TEST(FaultPlan, RangesCollapseInCanonicalForm) {
   EXPECT_EQ(plan.to_string(), "kernel_fail@kernel:3-7");
   auto sparse = FaultPlan::parse("oom@alloc:1,oom@alloc:3");
   EXPECT_EQ(sparse.to_string(), "oom@alloc:1,oom@alloc:3");
+  // Overlapping, nested and touching entries merge in any order.
+  auto merged = FaultPlan::parse(
+      "oom@alloc:5-9,oom@alloc:20,oom@alloc:0-3,oom@alloc:6,oom@alloc:4,"
+      "oom@alloc:8-12,oom@alloc:14");
+  EXPECT_EQ(merged.to_string(), "oom@alloc:0-12,oom@alloc:14,oom@alloc:20");
+}
+
+TEST(FaultPlan, FullWidthRangeIsOneEntryAndFiresEverywhere) {
+  const std::string spec = "kernel_fail@kernel:0-18446744073709551615";
+  auto plan = FaultPlan::parse(spec);
+  EXPECT_EQ(plan.to_string(), spec);
+  EXPECT_EQ(FaultPlan::parse(plan.to_string()).to_string(), spec);
+  EXPECT_TRUE(plan.should_fault(FaultSite::Kernel));  // call 0
+  for (u64 call = 1; call < 1000000; ++call) {
+    plan.should_fault(FaultSite::Kernel);
+  }
+  EXPECT_TRUE(plan.should_fault(FaultSite::Kernel));  // call 10^6
+  EXPECT_EQ(plan.injected(), 1000001u);
+  // A later entry inside the range changes nothing.
+  plan.add(FaultSite::Kernel, 18446744073709551615u);
+  EXPECT_EQ(plan.to_string(), spec);
 }
 
 TEST(FaultPlan, ShouldFaultFiresAtExactCallIndices) {
@@ -66,6 +87,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("oom@gpu:1"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("oom@alloc:x"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("oom@alloc:5-2"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("oom@alloc:18446744073709551616"),
+               InvalidArgument);
   // Kind/site mismatch: an OOM cannot happen on a transfer.
   EXPECT_THROW(FaultPlan::parse("oom@h2d:0"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("xfer_fail@kernel:0"), InvalidArgument);

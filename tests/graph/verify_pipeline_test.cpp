@@ -105,6 +105,16 @@ TEST(VerifyPipelineIdentity, DigestIdenticalAcrossBackendsBatchesAndStreams) {
   }
 }
 
+TEST(VerifyPipelineIdentity, ZeroStreamsAreRejected) {
+  device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+  auto cfg = base_config();
+  cfg.verify_backend = VerifyBackend::DeviceBatched;
+  cfg.device_verify.context = &ctx;
+  cfg.device_verify.num_streams = 0;
+  EXPECT_THROW(build_homology_graph(verify_workload(), cfg), InvalidArgument);
+  EXPECT_EQ(ctx.arena().used(), 0u);
+}
+
 TEST(VerifyPipelineIdentity, DigestIdenticalWithIdentityTracebackGate) {
   const auto sequences = verify_workload(7200);
 
@@ -257,6 +267,78 @@ TEST(VerifyPipelineChaos, PersistentFaultsForceCpuFallbackCompletion) {
   EXPECT_TRUE(stats.device.cpu_fallback);
   EXPECT_EQ(ctx.arena().used(), 0u);
   EXPECT_EQ(ctx.arena().num_allocations(), 0u);
+}
+
+struct PinnedVerify {
+  std::size_t streams;
+  std::size_t batch_pairs;
+  const char* plan;
+  fault::ResilienceMode mode;
+  std::size_t batches, lanes, retries, replans, drains;
+  bool cpu_fallback;
+  double makespan, kernel_exposed, h2d_exposed, d2h_exposed;
+  std::size_t arena_peak;
+};
+
+TEST(VerifyPipelinePins, ModeledTimelineAndLadderMatchPinnedValues) {
+  // The modeled makespan, its exposed split, the arena peak and every
+  // recovery counter of the device verify pass, one row per rung of the
+  // fault ladder: a transient retry, an OOM replan, a drain followed by a
+  // same-size retry, and the CPU fallback. Recorded before the verify
+  // and shingling passes shared one batch pipeline.
+  using Mode = fault::ResilienceMode;
+  const PinnedVerify pins[] = {
+      {1, 8, "", Mode::Off, 10, 1, 0, 0, 0, false, 0x1.f0f677c101bd8p-8,
+       0x1.872e87fdbad66p-8, 0x1.21b155a2f4b7p-10, 0x1.0adcd2d44dcafp-11,
+       1756},
+      {4, 8, "", Mode::Off, 10, 2, 0, 0, 0, false, 0x1.91d1792eeafa1p-8,
+       0x1.691fd430c4431p-8, 0x1.d582a8e73f69ep-14, 0x1.0adcd2d44dcadp-11,
+       3026},
+      {2, 8, "kernel_fail@kernel:2,xfer_fail@d2h:4", Mode::Retry, 10, 1, 2, 0,
+       0, false, 0x1.14d5c31e2aebep-7, 0x1.cef658f372643p-8,
+       0x1.cacc9772cdd25p-11, 0x1.0adcd2d44dc9fp-11, 1756},
+      {1, 8, "oom@alloc:4", Mode::Retry, 18, 1, 0, 1, 0, false,
+       0x1.255bda1b69e9p-7, 0x1.8c6cb55ff3b09p-8, 0x1.0571032274499p-9,
+       0x1.dc93ea2d2fe57p-11, 1290},
+      {4, 8, "oom@alloc:4", Mode::Retry, 10, 2, 0, 0, 1, false,
+       0x1.91d1792eeafa1p-8, 0x1.691fd430c4431p-8, 0x1.d582a8e73f69ep-14,
+       0x1.0adcd2d44dcadp-11, 3026},
+      {2, 8, "kernel_fail@kernel:3-99999", Mode::Fallback, 3, 1, 6, 0, 0, true,
+       0x1.24f263f1524e6p-8, 0x1.a84525707453cp-9, 0x1.1b2baa7dc2786p-10,
+       0x1.409cd334f0cdcp-13, 1756},
+  };
+  const auto sequences = verify_workload(7300);
+  auto scalar_cfg = base_config();
+  scalar_cfg.verify_backend = VerifyBackend::HostScalar;
+  const u64 expected = build_digest(sequences, scalar_cfg);
+  for (const PinnedVerify& pin : pins) {
+    SCOPED_TRACE(std::string("streams=") + std::to_string(pin.streams) +
+                 " plan=" + pin.plan);
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(1 << 20));
+    fault::FaultPlan plan = fault::FaultPlan::parse(pin.plan);
+    ctx.set_fault_plan(&plan);
+    auto cfg = base_config();
+    cfg.verify_backend = VerifyBackend::DeviceBatched;
+    cfg.device_verify.context = &ctx;
+    cfg.device_verify.max_batch_pairs = pin.batch_pairs;
+    cfg.device_verify.num_streams = pin.streams;
+    cfg.device_verify.resilience.mode = pin.mode;
+    HomologyGraphStats stats;
+    EXPECT_EQ(build_digest(sequences, cfg, &stats), expected);
+    const VerifyDeviceStats& d = stats.device;
+    EXPECT_EQ(d.num_batches, pin.batches);
+    EXPECT_EQ(d.num_lanes, pin.lanes);
+    EXPECT_EQ(d.num_retries, pin.retries);
+    EXPECT_EQ(d.num_batch_replans, pin.replans);
+    EXPECT_EQ(d.num_pipeline_drains, pin.drains);
+    EXPECT_EQ(d.cpu_fallback, pin.cpu_fallback);
+    EXPECT_DOUBLE_EQ(d.makespan_modeled_s, pin.makespan);
+    EXPECT_DOUBLE_EQ(d.kernel_exposed_modeled_s, pin.kernel_exposed);
+    EXPECT_DOUBLE_EQ(d.h2d_exposed_modeled_s, pin.h2d_exposed);
+    EXPECT_DOUBLE_EQ(d.d2h_exposed_modeled_s, pin.d2h_exposed);
+    EXPECT_EQ(ctx.arena().peak(), pin.arena_peak);
+    EXPECT_EQ(ctx.arena().used(), 0u);
+  }
 }
 
 /// A random device-side schedule over the sites the verify path exercises

@@ -42,7 +42,7 @@ TEST(ArenaLeak, EmptyAfterEveryPipelineConfiguration) {
     obs::Tracer tracer;
     core::GpClustOptions options;
     options.max_batch_elements = 73;  // several batches per pass
-    options.pipeline.num_streams = num_streams;
+    options.num_streams = num_streams;
     options.tracer = &tracer;
     core::GpClust(ctx, params, options).cluster(g);
 

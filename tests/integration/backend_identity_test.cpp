@@ -80,7 +80,7 @@ TEST_P(BackendIdentity, DeviceConfigurationsMatchSerial) {
     device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
     core::GpClustOptions options;
     options.max_batch_elements = cfg.max_batch_elements;
-    options.pipeline.num_streams = cfg.num_streams;
+    options.num_streams = cfg.num_streams;
     auto result = core::GpClust(ctx, params, options).cluster(g);
     result.normalize();
     EXPECT_EQ(result.digest(), expected)

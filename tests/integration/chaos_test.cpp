@@ -91,7 +91,7 @@ TEST_P(ChaosSchedule, CompletesIdenticallyOrFailsTyped) {
     core::GpClustOptions options;
     // Vary the pipeline shape along with the schedule.
     options.max_batch_elements = 16 + knob_rng.next() % 120;
-    options.pipeline.num_streams = knob_rng.next() % 2 == 0 ? 2 : 1;
+    options.num_streams = knob_rng.next() % 2 == 0 ? 2 : 1;
     options.tracer = &tracer;
     options.fault_plan = &plan;
     options.resilience.mode = mode;

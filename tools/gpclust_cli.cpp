@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     obs::Tracer* tracer_ptr = trace_out.empty() ? nullptr : &tracer;
     fault::FaultPlan fault_plan;
     core::GpClustOptions options;
-    options.pipeline.num_streams = static_cast<std::size_t>(num_streams);
+    options.num_streams = static_cast<std::size_t>(num_streams);
     options.tracer = tracer_ptr;
     if (!fault_spec.empty()) {
       fault_plan = fault::FaultPlan::parse(fault_spec);
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
       hcfg.tracer = options.tracer;
       if (hcfg.verify_backend == align::VerifyBackend::DeviceBatched) {
         hcfg.device_verify.context = &ctx;
-        hcfg.device_verify.num_streams = options.pipeline.num_streams;
+        hcfg.device_verify.num_streams = options.num_streams;
         hcfg.device_verify.resilience = options.resilience;
         if (options.fault_plan != nullptr) ctx.set_fault_plan(&fault_plan);
       }
