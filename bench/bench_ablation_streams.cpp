@@ -149,8 +149,7 @@ int main(int argc, char** argv) {
               "makespan (it hides g->c behind the next trial's kernels); "
               "streams>=4 additionally drives the exposed c->g column to "
               "~zero by uploading batch i+1 while batch i computes, a "
-              "strict further gain in every regime and the bulk of the "
-              "remaining win in the transfer-bound one. What's left exposed "
-              "is the serialized g->c DMA-engine floor.\n");
+              "strict further gain in every regime. What's left exposed "
+              "is the kernel engine.\n");
   return 0;
 }

@@ -51,8 +51,10 @@ struct RowResult {
   double serial_shingling = 0;
   // Deterministic work counts of the gpClust run (its tracer counters).
   u64 tuples1 = 0, tuples2 = 0;
+  u64 pass2_lists = 0;  ///< the distinct G_I lists pass 2 ran on
   u64 g1_shingles = 0, g2_shingles = 0;
-  u64 d2h_bytes = 0;
+  u64 d2h_bytes = 0, d2h1_bytes = 0, d2h2_bytes = 0;
+  std::size_t families = 0;  ///< gpClust's clusters, singletons included
   bool consistent = true;  ///< both self-checks below passed
 };
 
@@ -123,7 +125,11 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   row.tuples2 = tracer.counter("pass2.tuples");
   row.g1_shingles = tracer.counter("g1.shingles");
   row.g2_shingles = tracer.counter("g2.shingles");
+  row.pass2_lists = tracer.counter("pass2.lists");
   row.d2h_bytes = tracer.counter("d2h_bytes");
+  row.d2h1_bytes = tracer.counter("pass1.d2h_bytes");
+  row.d2h2_bytes = tracer.counter("pass2.d2h_bytes");
+  row.families = gpu_result.num_clusters();
 
   // The pipeline's own report must agree with the trace-derived columns.
   if (std::abs(row.gpu - report.gpu_seconds) > 1e-9 ||
@@ -242,7 +248,14 @@ int main(int argc, char** argv) {
            obs::json::number(static_cast<double>(r.g1_shingles))},
           {"g2_shingles",
            obs::json::number(static_cast<double>(r.g2_shingles))},
+          {"pass2_lists",
+           obs::json::number(static_cast<double>(r.pass2_lists))},
           {"d2h_bytes", obs::json::number(static_cast<double>(r.d2h_bytes))},
+          {"d2h1_bytes",
+           obs::json::number(static_cast<double>(r.d2h1_bytes))},
+          {"d2h2_bytes",
+           obs::json::number(static_cast<double>(r.d2h2_bytes))},
+          {"families", obs::json::number(static_cast<double>(r.families))},
       }));
     }
     const auto doc = obs::json::object({

@@ -48,12 +48,15 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
   const HashFamily family2(params_.c2, params_.prime, params_.seed, 2);
 
   DevicePassStats stats1, stats2;
+  // The summed d2h_bytes counter, split per pass below.
+  const u64 d2h_start = tracer != nullptr ? tracer->counter("d2h_bytes") : 0;
 
   // First level shingling on the device (Algorithm 2 lines 10-14).
   ShingleTuples tuples1 =
       extract_shingles_device(ctx_, g.offsets(), g.adjacency(), family1,
                               params_.s1, pass_options, &reg, "cpu", &stats1,
                               "pass1");
+  const u64 d2h_pass1 = tracer != nullptr ? tracer->counter("d2h_bytes") : 0;
 
   // Aggregate the shingle graph on the CPU (Algorithm 2 line 16).
   BipartiteShingleGraph gi;
@@ -62,20 +65,34 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
     obs::HostSpan span(tracer, "aggregate1");
     gi = aggregate_tuples(std::move(tuples1));
   }
+  // Identical G_I lists get identical second-level shingles, so pass 2
+  // runs over each distinct list once (DESIGN.md §8).
+  DistinctLists distinct;
+  {
+    util::ScopedTimer t(reg, "cpu");
+    obs::HostSpan span(tracer, "dedup");
+    distinct = distinct_lists(gi, params_.s2);
+  }
 
   // Second level shingling on the device (lines 17-21). Each batch's
-  // tuples merge into the S1 components as the batch commits (the final
+  // tuples merge into the components as the batch commits (the final
   // aggregation of line 22), so G_II is never built.
-  S1ComponentBuilder merge(gi.num_left());
-  extract_shingles_device(ctx_, gi.offsets, gi.members, family2, params_.s2,
-                          pass_options, &reg, "cpu", &stats2, "pass2",
-                          [&](ShingleTuples&& batch) {
+  S1ComponentBuilder merge(distinct.lists.num_left());
+  extract_shingles_device(ctx_, distinct.lists.offsets, distinct.lists.members,
+                          family2, params_.s2, pass_options, &reg, "cpu",
+                          &stats2, "pass2", [&](ShingleTuples&& batch) {
                             util::ScopedTimer t(reg, "cpu");
                             obs::HostSpan span(tracer, "aggregate2");
                             merge.add(std::move(batch));
                           });
+  if (tracer != nullptr) {
+    const u64 d2h_end = tracer->counter("d2h_bytes");
+    tracer->add_counter("pass1.d2h_bytes", d2h_pass1 - d2h_start);
+    tracer->add_counter("pass2.d2h_bytes", d2h_end - d2h_pass1);
+  }
   obs::add_counter(tracer, "pass1.tuples", stats1.num_tuples);
   obs::add_counter(tracer, "pass2.tuples", stats2.num_tuples);
+  obs::add_counter(tracer, "pass2.lists", distinct.lists.num_left());
   obs::add_counter(tracer, "g1.shingles", gi.num_left());
   obs::add_counter(tracer, "g2.shingles", merge.num_shingles());
   obs::add_counter(tracer, "shingles", gi.num_left() + merge.num_shingles());
@@ -85,8 +102,9 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
   {
     util::ScopedTimer t(reg, "cpu");
     obs::HostSpan span(tracer, "report");
-    result = report_dense_subgraphs(gi, merge.components(), g.num_vertices(),
-                                    params_.mode);
+    result = report_dense_subgraphs(
+        gi, distinct.expand(merge.components()), g.num_vertices(),
+        params_.mode);
   }
 
   if (report != nullptr) {

@@ -1,9 +1,9 @@
 #pragma once
 // gpClust — the paper's contribution (Algorithm 2): the CPU-GPU pipeline
 // that loads the similarity graph on the host, runs both shingling levels
-// on the device batch by batch, aggregates G_I and merges each committed
-// pass-2 batch into the S1 components on the CPU, and reports dense
-// subgraphs on the CPU.
+// on the device batch by batch, aggregates G_I, keeps each distinct G_I
+// list once for pass 2 and merges each committed pass-2 batch into the
+// components on the CPU, and reports dense subgraphs on the CPU.
 //
 // Produces bit-identical clusters to SerialShingler for the same
 // parameters (the tuples are the same set; aggregation, the component
@@ -49,11 +49,12 @@ struct GpClustOptions {
   fault::ResiliencePolicy resilience;
 
   /// Observability: when non-null, the run records host-measured and
-  /// device-modeled phase spans (load, pass1, aggregate1, pass2,
+  /// device-modeled phase spans (load, pass1, aggregate1, dedup, pass2,
   /// aggregate2 — one per committed pass-2 batch — and report) and the
   /// pipeline counters (sequences, tuples and shingles in total and per
-  /// pass as pass1/pass2.tuples and g1/g2.shingles, batches, h2d/d2h
-  /// bytes, arena high-water mark) into this
+  /// pass as pass1/pass2.tuples and g1/g2.shingles, the lists pass 2 ran
+  /// on as pass2.lists, batches, h2d bytes, d2h bytes in total and per
+  /// pass as pass1/pass2.d2h_bytes, arena high-water mark) into this
   /// tracer. The tracer is bound to the device context for the duration of
   /// the run only. Tracing never affects the clustering result.
   obs::Tracer* tracer = nullptr;

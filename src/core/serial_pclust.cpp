@@ -57,30 +57,39 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
     gi = aggregate_tuples(std::move(tuples1));
   }
 
+  // Pass 2 over each distinct list once, as in GpClust (DESIGN.md §8).
+  DistinctLists distinct;
+  {
+    obs::HostSpan span(tracer, "dedup");
+    distinct = distinct_lists(gi, params_.s2);
+  }
+
   ShingleTuples tuples2;
   {
     obs::HostSpan span(tracer, "shingling2");
-    tuples2 =
-        extract_shingles_serial(gi.offsets, gi.members, family2, params_.s2);
+    tuples2 = extract_shingles_serial(distinct.lists.offsets,
+                                      distinct.lists.members, family2,
+                                      params_.s2);
   }
   // The same component merge GpClust runs at each batch commit, over the
   // single serial pass: G_II is never built.
   const std::size_t num_tuples2 = tuples2.size();
-  S1ComponentBuilder merge(gi.num_left());
+  S1ComponentBuilder merge(distinct.lists.num_left());
   {
     obs::HostSpan span(tracer, "aggregate2");
     merge.add(std::move(tuples2));
   }
   obs::add_counter(tracer, "pass1.tuples", num_tuples1);
   obs::add_counter(tracer, "pass2.tuples", num_tuples2);
+  obs::add_counter(tracer, "pass2.lists", distinct.lists.num_left());
   obs::add_counter(tracer, "tuples", num_tuples1 + num_tuples2);
   obs::add_counter(tracer, "g1.shingles", gi.num_left());
   obs::add_counter(tracer, "g2.shingles", merge.num_shingles());
   obs::add_counter(tracer, "shingles", gi.num_left() + merge.num_shingles());
 
   obs::HostSpan span(tracer, "report");
-  return report_dense_subgraphs(gi, merge.components(), g.num_vertices(),
-                                params_.mode);
+  return report_dense_subgraphs(gi, distinct.expand(merge.components()),
+                                g.num_vertices(), params_.mode);
 }
 
 }  // namespace gpclust::core

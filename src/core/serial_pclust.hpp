@@ -33,7 +33,7 @@ class SerialShingler {
 
   /// Clusters the similarity graph. When `tracer` is provided, the phases
   /// are recorded as host-measured spans ("shingling1", "aggregate1",
-  /// "shingling2", "aggregate2", "report") plus the
+  /// "dedup", "shingling2", "aggregate2", "report") plus the
   /// "sequences"/"tuples"/"shingles" counters — the profile the paper uses
   /// to show ~80% of serial time is in shingling. Every span of a serial
   /// run is host-measured (there is no device).

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "util/group_by.hpp"
+#include "util/rng.hpp"
 
 namespace gpclust::core {
 
@@ -33,6 +34,10 @@ constexpr std::size_t kWindowTuples = std::size_t{1} << 18;
 /// A table's capacity on its first id; it doubles whenever an insert would
 /// fill it past 3/4.
 constexpr std::size_t kMinTableSlots = 16;
+
+/// Below this many G_I lists per worker distinct_lists hashes them on the
+/// calling thread.
+constexpr std::size_t kMinListsPerWorker = std::size_t{1} << 12;
 
 /// Packs a tuple into one 128-bit key ordered by (shingle, owner).
 inline __uint128_t pack_tuple(ShingleId shingle, u32 owner) {
@@ -132,6 +137,14 @@ inline std::size_t home_slot(ShingleId shingle, int bits) {
                                   (64 - bits));
 }
 
+/// Hash of a member list, length included. Equal hashes are only
+/// candidates: distinct_lists confirms every match by comparing the lists.
+inline u64 list_hash(std::span<const u32> list) {
+  u64 h = list.size();
+  for (u32 v : list) h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+  return util::mix64(h);
+}
+
 }  // namespace
 
 BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples) {
@@ -144,6 +157,76 @@ BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards) {
   if (shards <= 1) return aggregate_tuples(std::move(tuples));
   return aggregate_bucketed(std::move(tuples), shards);
+}
+
+DistinctLists distinct_lists(const BipartiteShingleGraph& gi, u32 min_len) {
+  const std::size_t n = gi.num_left();
+  GPCLUST_CHECK(n < S1Components::kNone, "too many S1 nodes");
+  const auto eligible = [&](std::size_t f) {
+    return gi.offsets[f + 1] - gi.offsets[f] >= min_len;
+  };
+
+  std::vector<u64> hash(n);
+  util::for_ranges(util::group_by_workers(n, kMinListsPerWorker), n,
+                   [&](std::size_t lo, std::size_t hi) {
+                     for (std::size_t f = lo; f < hi; ++f) {
+                       if (eligible(f)) hash[f] = list_hash(gi.list(f));
+                     }
+                   });
+
+  // One pass in S1 order over an open-addressing table of representatives:
+  // a list joins the first representative with its hash and its members,
+  // or becomes one itself, so each class's representative is its smallest
+  // S1 node. A hash collision between different lists probes on. The
+  // table is never more than half full.
+  std::vector<u32> table(std::bit_ceil(std::max(kMinTableSlots, 2 * n)),
+                         S1Components::kNone);
+  const int bits = std::countr_zero(table.size());
+  const std::size_t mask = table.size() - 1;
+  DistinctLists out;
+  out.rep_of.assign(n, S1Components::kNone);
+  out.lists.offsets.push_back(0);
+  for (u32 f = 0; f < n; ++f) {
+    if (!eligible(f)) continue;
+    u32 rep = f;
+    for (std::size_t slot = home_slot(hash[f], bits);;
+         slot = (slot + 1) & mask) {
+      const u32 r = table[slot];
+      if (r == S1Components::kNone) {
+        table[slot] = f;
+        break;
+      }
+      if (hash[r] == hash[f] && std::ranges::equal(gi.list(r), gi.list(f))) {
+        rep = r;
+        break;
+      }
+    }
+    out.rep_of[f] = rep;
+    if (rep == f) {
+      const auto list = gi.list(f);
+      out.lists.members.insert(out.lists.members.end(), list.begin(),
+                               list.end());
+      out.lists.offsets.push_back(out.lists.members.size());
+    }
+  }
+  return out;
+}
+
+S1Components DistinctLists::expand(const S1Components& compact) const {
+  GPCLUST_CHECK(compact.of.size() == lists.num_left(),
+                "components cover a different list count");
+  S1Components out;
+  out.count = compact.count;
+  out.of.assign(rep_of.size(), S1Components::kNone);
+  // Representatives come in S1 order, so the k-th one met owns list k; a
+  // duplicate's representative is a smaller node, already mapped.
+  std::size_t k = 0;
+  for (u32 f = 0; f < rep_of.size(); ++f) {
+    const u32 rep = rep_of[f];
+    if (rep == S1Components::kNone) continue;
+    out.of[f] = rep == f ? compact.of[k++] : out.of[rep];
+  }
+  return out;
 }
 
 S1ComponentBuilder::S1ComponentBuilder(std::size_t num_s1)

@@ -77,6 +77,33 @@ struct S1Components {
   std::size_t count = 0;  ///< components, numbered by their smallest S1 node
 };
 
+/// G_I's lists of at least `min_len` members with every repeated list kept
+/// once (DESIGN.md §5). Two S1 nodes with identical lists get the same
+/// second-level shingle in every trial, so they always share a component;
+/// pass 2 and the component merge run over `lists` only, and expand() maps
+/// their components back onto every S1 node. The result is exact: the
+/// same components, numbered the same way, as over all of G_I.
+struct DistinctLists {
+  /// List k is the k-th representative's list; representatives keep
+  /// increasing S1 order.
+  BipartiteShingleGraph lists;
+  /// Per S1 node: the smallest S1 node with an identical list (itself for
+  /// a representative), or S1Components::kNone for a list shorter than
+  /// min_len.
+  std::vector<u32> rep_of;
+
+  /// Components over the S1 nodes from components over `lists`.
+  S1Components expand(const S1Components& compact) const;
+};
+
+/// Finds the distinct lists of `gi` among those with at least `min_len`
+/// members: each list is hashed in parallel, then one serial pass in S1
+/// order looks every list up in a hash table of representatives and
+/// confirms each hash match by comparing the lists. Only the hashing is
+/// parallel, list by list, so the result does not depend on the worker
+/// count.
+DistinctLists distinct_lists(const BipartiteShingleGraph& gi, u32 min_len);
+
 /// Builds S1Components from pass-2 tuples fed batch by batch, without
 /// sorting them or writing G_II (DESIGN.md §8). A hash map from the full
 /// 64-bit shingle id to the first owner it arrived with, sharded by

@@ -31,17 +31,65 @@ double SimTimeline::enqueue(StreamId stream, OpKind kind, double duration,
   cursors_[stream] = end;
   engines_[k] = std::max(engines_[k], end);
   busy_[k] += duration;
-  // Critical-path attribution: the op "exposes" only the seconds by which
-  // it pushed the global completion frontier; time hidden behind other
-  // streams' ops is overlap. Summed over kinds this reconstructs the
-  // makespan exactly.
-  exposed_[k] += std::max(0.0, end - frontier_);
-  frontier_ = std::max(frontier_, end);
+  auto& cover = cover_[k];
+  if (!cover.empty() && start >= cover.back().first &&
+      start <= cover.back().second) {
+    cover.back().second = std::max(cover.back().second, end);
+  } else {
+    cover.emplace_back(start, end);
+  }
   ++num_ops_;
   if (tracer_ != nullptr) {
     tracer_->record_modeled_op(kOpCategory[k], start, duration, stream);
   }
   return end;
+}
+
+double SimTimeline::exposed(OpKind kind) const {
+  // Sweep the interval edges in time order. Each stretch between two edges
+  // goes to the highest-priority kind running then (the lowest OpKind); an
+  // idle stretch goes to the first kind to start after it. At equal times
+  // ends sort before starts and starts by priority.
+  struct Edge {
+    double t;
+    int delta;  // -1 end, +1 start
+    std::size_t kind;
+  };
+  std::vector<Edge> edges;
+  for (std::size_t k = 0; k < kNumOpKinds; ++k) {
+    for (const auto& [start, end] : cover_[k]) {
+      edges.push_back({start, +1, k});
+      edges.push_back({end, -1, k});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.t != b.t) return a.t < b.t;
+    if (a.delta != b.delta) return a.delta < b.delta;
+    return a.kind < b.kind;
+  });
+  const std::size_t want = static_cast<std::size_t>(kind);
+  std::array<int, kNumOpKinds> running{};
+  double t = 0.0;
+  double idle = 0.0;
+  double out = 0.0;
+  for (const Edge& e : edges) {
+    if (e.t > t) {
+      const auto top = std::find_if(running.begin(), running.end(),
+                                    [](int n) { return n > 0; });
+      if (top == running.end()) {
+        idle += e.t - t;
+      } else if (static_cast<std::size_t>(top - running.begin()) == want) {
+        out += e.t - t;
+      }
+      t = e.t;
+    }
+    if (e.delta > 0 && idle > 0.0) {
+      if (e.kind == want) out += idle;
+      idle = 0.0;
+    }
+    running[e.kind] += e.delta;
+  }
+  return out;
 }
 
 double SimTimeline::stream_cursor(StreamId stream) const {
@@ -57,8 +105,7 @@ void SimTimeline::reset() {
   std::fill(cursors_.begin(), cursors_.end(), 0.0);
   busy_.fill(0.0);
   engines_.fill(0.0);
-  exposed_.fill(0.0);
-  frontier_ = 0.0;
+  for (auto& cover : cover_) cover.clear();
   num_ops_ = 0;
 }
 

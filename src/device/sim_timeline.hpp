@@ -19,15 +19,17 @@
 // whatever stream issued it. Cross-kind overlap (kernel vs copies) is
 // unrestricted — exactly the overlap CUDA streams expose.
 //
-// Critical-path accounting: each enqueue records how far the op pushed the
-// global completion frontier ("exposed" seconds, attributed to the op's
-// kind). Summed over kinds this equals the makespan, so
+// Exposed-time accounting: every instant of the makespan is charged to one
+// op kind — a kernel if one runs then, else an upload if one runs, else a
+// download — so a copy that runs beside a kernel is hidden whichever op was
+// enqueued first. Summed over kinds this equals the makespan, so
 // exposed(CopyH2D) + exposed(CopyD2H) is the modeled transfer time an
-// observer of the device wall clock actually waits for — the number the
-// stream-pipeline ablation drives toward zero.
+// observer of the device wall clock waits for beyond compute — the number
+// the stream-pipeline ablation drives toward zero.
 
 #include <array>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -76,13 +78,14 @@ class SimTimeline {
     return busy_[static_cast<std::size_t>(kind)];
   }
 
-  /// Critical-path seconds per op kind: how much ops of this kind advanced
-  /// the makespan frontier (busy time minus whatever other streams hid).
-  /// The three kinds sum to makespan(); busy(kind) - exposed(kind) is the
-  /// overlap the schedule achieved for that kind.
-  double exposed(OpKind kind) const {
-    return exposed_[static_cast<std::size_t>(kind)];
-  }
+  /// Seconds of the makespan charged to `kind`: the time its ops run while
+  /// no op of a higher-priority kind runs (Kernel, then CopyH2D, then
+  /// CopyD2H), plus any idle time an op of the kind ends. The three kinds
+  /// sum to makespan(); busy(kind) - exposed(kind) is the overlap the
+  /// schedule achieved for that kind (zero for kernels on an
+  /// engine-exclusive timeline). Independent of enqueue order: a lane's
+  /// result copy hidden behind its next trial's kernels counts as hidden.
+  double exposed(OpKind kind) const;
 
   std::size_t num_ops() const { return num_ops_; }
 
@@ -98,8 +101,10 @@ class SimTimeline {
   std::vector<double> cursors_;
   std::array<double, kNumOpKinds> busy_{};
   std::array<double, kNumOpKinds> engines_{};
-  std::array<double, kNumOpKinds> exposed_{};
-  double frontier_ = 0.0;  ///< running max completion (== makespan)
+  /// Per kind, the [start, end] intervals its ops occupy; an op that
+  /// starts inside or at the end of the last interval extends it, so an
+  /// engine-exclusive timeline keeps one interval per busy stretch.
+  std::array<std::vector<std::pair<double, double>>, kNumOpKinds> cover_;
   std::size_t num_ops_ = 0;
   bool engine_exclusive_ = false;
   obs::Tracer* tracer_ = nullptr;

@@ -306,38 +306,44 @@ TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
   // same graph; the fused scan must leave every modeled number unchanged,
   // with and without faults. The last three rows, one per rung of the
   // fault ladder, were recorded before the shingling and verify passes
-  // shared one batch pipeline.
+  // shared one batch pipeline. The first six were re-recorded when pass 2
+  // started running over the distinct G_I lists only; the fault-free ones
+  // are derived from direct pass runs by the next test. The last row's
+  // faults send pass 2 to the CPU before its first device batch. The
+  // exposed columns of the multi-stream rows were re-recorded when
+  // SimTimeline::exposed stopped depending on enqueue order (a result copy
+  // beside the next trial's kernels is hidden, the kernels exposed).
   using Mode = fault::ResilienceMode;
   const PinnedTimeline pins[] = {
-      {1, 64, "", Mode::Off, 0x1.36bbbe5c9c8d7p-6, 0x1.a0b1e6c26c4b1p-8,
-       0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.a0b1e6c26c4ap-8,
-       0x1.2b3f73de49216p-9, 0x1.524eac6070ad9p-7, 1776, 0, 0, 0, 0},
-      {4, 64, "", Mode::Off, 0x1.584088dc321a7p-7, 0x1.a0b1e6c26c4b1p-8,
-       0x1.2b3f73de49213p-9, 0x1.524eac6070ae1p-7, 0x1.0eb34c1d39f84p-14,
-       0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472, 0, 0, 0, 0},
-      {1, 0, "", Mode::Off, 0x1.4c615788d2f7fp-9, 0x1.f4d4d3ac64f85p-11,
-       0x1.25e516f087672p-12, 0x1.54deff7f5199cp-10, 0x1.f4d4d3ac64f88p-11,
-       0x1.25e516f087671p-12, 0x1.54deff7f5199ep-10, 17452, 0, 0, 0, 0},
+      {1, 64, "", Mode::Off, 0x1.221dcc99a126p-6, 0x1.8718b8889d1b9p-8,
+       0x1.0fb3a736e61b5p-9, 0x1.3cc253213a36bp-7, 0x1.8718b8889d1d4p-8,
+       0x1.0fb3a736e61aep-9, 0x1.3cc253213a36bp-7, 1736, 0, 0, 0, 0},
+      {4, 64, "", Mode::Off, 0x1.42b42f9cfba31p-7, 0x1.8718b8889d1b9p-8,
+       0x1.0fb3a736e61b5p-9, 0x1.3cc253213a36bp-7, 0x1.8718b8889d1ccp-8,
+       0x1.fb4d12d849db9p-12, 0x1.bd35ab07ab175p-9, 3392, 0, 0, 0, 0},
+      {1, 0, "", Mode::Off, 0x1.401dfd4108decp-9, 0x1.e50a305a90c53p-11,
+       0x1.1bbea2679e74dp-12, 0x1.46c739bae1bddp-10, 0x1.e50a305a90c54p-11,
+       0x1.1bbea2679e74dp-12, 0x1.46c739bae1bdap-10, 13652, 0, 0, 0, 0},
       {2, 64, "kernel_fail@kernel:5,xfer_fail@d2h:7", Mode::Retry,
-       0x1.8f6ad70e6f2e8p-7, 0x1.c6a4949f5ed48p-8, 0x1.46628fed1d7a6p-9,
-       0x1.5e2e08a6ed951p-7, 0x1.06385358979c4p-10, 0x1.075c3fc6ea61dp-11,
-       0x1.5e2e08a6ed94dp-7, 1776, 2, 0, 0, 0},
+       0x1.7753defa4be08p-7, 0x1.ad0b66658fa5p-8, 0x1.2ad6c345ba749p-9,
+       0x1.48a1af67b71dbp-7, 0x1.ad0b66658fa7ap-8, 0x1.2ad6c345ba745p-9,
+       0x1.5861ebd855be6p-9, 1736, 2, 0, 0, 0},
       // OOM replan: the batch at the allocation fault is halved.
-      {1, 64, "oom@alloc:7", Mode::Retry, 0x1.e671232dd77adp-6,
-       0x1.46620f13c42edp-7, 0x1.bc13c1febd8adp-9, 0x1.0bbda3641db66p-6,
-       0x1.46620f13c425fp-7, 0x1.bc13c1febd8d4p-9, 0x1.0bbda3641db63p-6, 1776,
+      {1, 64, "oom@alloc:7", Mode::Retry, 0x1.d1d3316adc148p-6,
+       0x1.399577f6dc977p-7, 0x1.a087f5575a85p-9, 0x1.00f776c4827aep-6,
+       0x1.399577f6dc8fbp-7, 0x1.a087f5575a86cp-9, 0x1.00f776c4827bdp-6, 1736,
        0, 1, 0, 0},
       // Drain: lane 1's allocation faults while lane 0 holds its batch, so
       // the pipeline drains and retries at the same size.
-      {4, 64, "oom@alloc:7", Mode::Retry, 0x1.584088dc321a7p-7,
-       0x1.a0b1e6c26c4b1p-8, 0x1.38ce52b3d707cp-9, 0x1.524eac6070ae1p-7,
-       0x1.0eb34c1d39f84p-14, 0x1.ea3af1c37c3f4p-14, 0x1.524eac6070aep-7, 3472,
+      {4, 64, "oom@alloc:7", Mode::Retry, 0x1.42b42f9cfba31p-7,
+       0x1.8718b8889d1b9p-8, 0x1.1d42860c7401ep-9, 0x1.3cc253213a36bp-7,
+       0x1.8718b8889d1ccp-8, 0x1.11048a2862764p-11, 0x1.b85e2ad89bb53p-9, 3392,
        0, 0, 1, 0},
       // Persistent kernel faults: both passes finish on the CPU.
       {2, 64, "kernel_fail@kernel:30-99999", Mode::Fallback,
        0x1.428205a937469p-8, 0x1.9920cdd5e148ap-9, 0x1.b46019703e818p-10,
-       0x1.0f5f18944b7bfp-11, 0x1.66fc38753c6d2p-9, 0x1.b46019703e82p-10,
-       0x1.0f5f18944b7bfp-11, 1736, 12, 0, 0, 2},
+       0x1.0f5f18944b7bfp-11, 0x1.9920cdd5e148ap-9, 0x1.b46019703e82p-10,
+       0x1.1b330c46e0386p-13, 1736, 12, 0, 0, 2},
   };
   const auto g = pinned_graph();
   ShinglingParams params;
@@ -373,6 +379,55 @@ TEST(FusedEmulation, ModeledTimelineMatchesPinnedValues) {
                   std::size_t{report.pass2.cpu_fallback},
               pin.fallbacks);
     EXPECT_EQ(ctx.arena().used(), 0u);
+  }
+}
+
+TEST(FusedEmulation, Pass2ChargesEqualADirectPassOverTheDistinctLists) {
+  // GpClust's modeled device time is pass 1 over G plus pass 2 over the
+  // distinct G_I lists of at least s2 members: the same two passes run
+  // directly on a fresh device give every number of a fault-free pinned
+  // row above.
+  const auto g = pinned_graph();
+  ShinglingParams params;
+  params.c1 = 12;
+  params.c2 = 6;
+  for (const auto& [streams, batch] :
+       {std::pair<std::size_t, std::size_t>{1, 64}, {4, 64}, {1, 0}}) {
+    SCOPED_TRACE("streams=" + std::to_string(streams) +
+                 " batch=" + std::to_string(batch));
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+    GpClustOptions options;
+    options.max_batch_elements = batch;
+    options.num_streams = streams;
+    GpClustReport report;
+    GpClust(ctx, params, options).cluster(g, &report);
+
+    device::DeviceContext direct(
+        device::DeviceSpec::small_test_device(4 << 20));
+    DevicePassOptions pass;
+    pass.max_batch_elements = batch;
+    pass.num_streams = streams;
+    const BipartiteShingleGraph gi = aggregate_tuples(extract_shingles_device(
+        direct, g.offsets(), g.adjacency(),
+        HashFamily(params.c1, params.prime, params.seed, 1), params.s1, pass));
+    const DistinctLists distinct = distinct_lists(gi, params.s2);
+    ASSERT_LT(distinct.lists.num_left(), gi.num_left());
+    DevicePassStats stats2;
+    const ShingleTuples tuples2 = extract_shingles_device(
+        direct, distinct.lists.offsets, distinct.lists.members,
+        HashFamily(params.c2, params.prime, params.seed, 2), params.s2, pass,
+        nullptr, "cpu", &stats2);
+
+    EXPECT_EQ(report.pass2.num_tuples, tuples2.size());
+    EXPECT_EQ(report.pass2.num_batches, stats2.num_batches);
+    EXPECT_DOUBLE_EQ(report.device_makespan, direct.makespan());
+    EXPECT_DOUBLE_EQ(report.gpu_seconds, direct.gpu_seconds());
+    EXPECT_DOUBLE_EQ(report.h2d_seconds, direct.h2d_seconds());
+    EXPECT_DOUBLE_EQ(report.d2h_seconds, direct.d2h_seconds());
+    EXPECT_DOUBLE_EQ(report.gpu_exposed_seconds, direct.gpu_exposed_seconds());
+    EXPECT_DOUBLE_EQ(report.h2d_exposed_seconds, direct.h2d_exposed_seconds());
+    EXPECT_DOUBLE_EQ(report.d2h_exposed_seconds, direct.d2h_exposed_seconds());
+    EXPECT_EQ(ctx.arena().peak(), direct.arena().peak());
   }
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/gpclust.hpp"
 #include "core/serial_pclust.hpp"
@@ -213,7 +215,10 @@ ShinglingParams engine_test_params(ReportMode mode) {
 
 struct Reference {
   Clustering clustering;
+  /// Pass-2 tuples the engines emit: c2 per distinct G_I list of at least
+  /// s2 members, since each such list is shingled once.
   std::size_t tuples2 = 0;
+  std::size_t pass2_lists = 0;
   std::size_t g2_shingles = 0;
 };
 
@@ -225,8 +230,21 @@ Reference reference_run(const graph::CsrGraph& g,
       extract_shingles_serial(g.offsets(), g.adjacency(), family1, params.s1));
   ShingleTuples tuples2 =
       extract_shingles_serial(gi.offsets, gi.members, family2, params.s2);
+  // The full pass 2 emits c2 tuples per list of at least s2 members; the
+  // engines shingle each distinct such list once.
+  std::set<std::vector<u32>> distinct;
+  std::size_t eligible = 0;
+  for (std::size_t f = 0; f < gi.num_left(); ++f) {
+    const auto l = gi.list(f);
+    if (l.size() < params.s2) continue;
+    ++eligible;
+    distinct.emplace(l.begin(), l.end());
+  }
+  EXPECT_EQ(tuples2.size(), std::size_t{params.c2} * eligible);
+  EXPECT_LT(distinct.size(), eligible);  // the graph has repeated lists
   Reference ref;
-  ref.tuples2 = tuples2.size();
+  ref.tuples2 = std::size_t{params.c2} * distinct.size();
+  ref.pass2_lists = distinct.size();
   const BipartiteShingleGraph gii = aggregate_tuples(std::move(tuples2));
   ref.g2_shingles = gii.num_left();
   ref.clustering =
@@ -244,6 +262,7 @@ void expect_equals_reference(Clustering got, const Reference& ref,
   EXPECT_EQ(got.digest(), expected.digest()) << label;
   // A retried or replanned batch lands its tuples once.
   EXPECT_EQ(tracer.counter("pass2.tuples"), ref.tuples2) << label;
+  EXPECT_EQ(tracer.counter("pass2.lists"), ref.pass2_lists) << label;
   EXPECT_EQ(tracer.counter("g2.shingles"), ref.g2_shingles) << label;
   EXPECT_EQ(tracer.counter("shingles"),
             tracer.counter("g1.shingles") + tracer.counter("g2.shingles"))

@@ -153,8 +153,9 @@ TEST(SerialShingler, MetricsShowShinglingDominates) {
   // The paper's profiling claim (§III-C): the two shingling levels take
   // ~80% of serial runtime, aggregation the rest. Stated in deterministic
   // work counts, so host load cannot move it: the shingling passes' hash
-  // evaluations (each of c trials hashes every member of every list) must
-  // be at least 4x the tuples the two aggregations sort.
+  // evaluations (each of c trials hashes every member of every list it
+  // shingles: all of G, and each distinct G_I list of at least s2 members
+  // once) must be at least 4x the tuples the two aggregations sort.
   const auto g = graph::generate_erdos_renyi(400, 0.2, 10);
   ShinglingParams p = small_params();
   p.c1 = 100;
@@ -164,9 +165,12 @@ TEST(SerialShingler, MetricsShowShinglingDominates) {
 
   const BipartiteShingleGraph gi = aggregate_tuples(extract_shingles_serial(
       g.offsets(), g.adjacency(), HashFamily(p.c1, p.prime, p.seed, 1), p.s1));
+  const DistinctLists pass2 = distinct_lists(gi, p.s2);
+  ASSERT_EQ(tracer.counter("pass2.lists"), pass2.lists.num_left());
   const double hashing =
       static_cast<double>(p.c1) * static_cast<double>(g.adjacency().size()) +
-      static_cast<double>(p.c2) * static_cast<double>(gi.members.size());
+      static_cast<double>(p.c2) *
+          static_cast<double>(pass2.lists.members.size());
   const auto sorted = static_cast<double>(tracer.counter("tuples"));
   ASSERT_GT(sorted, 0.0);
   EXPECT_GT(hashing / (hashing + sorted), 0.8);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -215,6 +216,138 @@ TEST(AggregateTuplesSharded, MismatchedArraysThrow) {
   ShingleTuples t;
   t.shingle.push_back(1);
   EXPECT_THROW(aggregate_tuples_sharded(std::move(t), 4), InvalidArgument);
+}
+
+/// G_I with the given lists, in order.
+BipartiteShingleGraph graph_of(const std::vector<std::vector<u32>>& lists) {
+  BipartiteShingleGraph g;
+  g.offsets.push_back(0);
+  for (const auto& l : lists) {
+    g.members.insert(g.members.end(), l.begin(), l.end());
+    g.offsets.push_back(g.members.size());
+  }
+  return g;
+}
+
+/// The map-based reference: the first list of each content with at least
+/// `min_len` members represents it; the lists keep first-seen order.
+DistinctLists reference_distinct(const BipartiteShingleGraph& gi,
+                                 u32 min_len) {
+  std::map<std::vector<u32>, u32> first;
+  DistinctLists d;
+  d.lists.offsets.push_back(0);
+  for (u32 f = 0; f < gi.num_left(); ++f) {
+    const auto l = gi.list(f);
+    if (l.size() < min_len) {
+      d.rep_of.push_back(S1Components::kNone);
+      continue;
+    }
+    const auto [it, fresh] =
+        first.emplace(std::vector<u32>(l.begin(), l.end()), f);
+    d.rep_of.push_back(it->second);
+    if (fresh) {
+      d.lists.members.insert(d.lists.members.end(), l.begin(), l.end());
+      d.lists.offsets.push_back(d.lists.members.size());
+    }
+  }
+  return d;
+}
+
+void expect_same(const DistinctLists& got, const DistinctLists& expected,
+                 const std::string& label) {
+  EXPECT_EQ(got.rep_of, expected.rep_of) << label;
+  EXPECT_EQ(got.lists.offsets, expected.lists.offsets) << label;
+  EXPECT_EQ(got.lists.members, expected.lists.members) << label;
+}
+
+TEST(DistinctLists, IdenticalListsCollapseToTheSmallestIndex) {
+  const auto gi =
+      graph_of({{3, 5}, {1, 2, 9}, {3, 5}, {4, 7}, {1, 2, 9}, {3, 5}});
+  const DistinctLists d = distinct_lists(gi, 2);
+  EXPECT_EQ(d.rep_of, (std::vector<u32>{0, 1, 0, 3, 1, 0}));
+  // One list per class, in the order of the representatives.
+  EXPECT_EQ(d.lists.offsets, (std::vector<u64>{0, 2, 5, 7}));
+  EXPECT_EQ(d.lists.members, (std::vector<u32>{3, 5, 1, 2, 9, 4, 7}));
+  expect_same(d, reference_distinct(gi, 2), "");
+}
+
+TEST(DistinctLists, ListsShorterThanMinLenMapToNone) {
+  const auto gi = graph_of({{4}, {}, {4}, {4, 6}, {6}, {4, 6}});
+  const DistinctLists d = distinct_lists(gi, 2);
+  constexpr u32 kNone = S1Components::kNone;
+  EXPECT_EQ(d.rep_of, (std::vector<u32>{kNone, kNone, kNone, 3, kNone, 3}));
+  ASSERT_EQ(d.lists.num_left(), 1u);
+  EXPECT_EQ(d.lists.members, (std::vector<u32>{4, 6}));
+  // With min_len 1 the one-member lists count, the empty one still not.
+  const DistinctLists d1 = distinct_lists(gi, 1);
+  EXPECT_EQ(d1.rep_of, (std::vector<u32>{0, kNone, 0, 3, 4, 3}));
+}
+
+TEST(DistinctLists, ListsDifferingOnlyInTheLastMemberOrLengthStayDistinct) {
+  const auto gi =
+      graph_of({{1, 2, 3}, {1, 2, 4}, {1, 2}, {1, 2, 3, 4}, {0, 2, 3}});
+  const DistinctLists d = distinct_lists(gi, 2);
+  EXPECT_EQ(d.rep_of, (std::vector<u32>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(d.lists.offsets, gi.offsets);
+  EXPECT_EQ(d.lists.members, gi.members);
+}
+
+TEST(DistinctLists, MatchesTheMapReferenceOnManyRepeatedLists) {
+  // Enough lists to hash on several workers, drawn from a few thousand
+  // templates (lengths 0..8, some differing from another template only in
+  // their last member) so most lists repeat.
+  util::Xoshiro256 rng(29);
+  std::vector<std::vector<u32>> templates(3000);
+  for (std::size_t t = 0; t < templates.size(); ++t) {
+    if (t % 5 == 4) {
+      templates[t] = templates[t - 1];
+      if (!templates[t].empty()) templates[t].back() += 1;
+      continue;
+    }
+    const std::size_t len = rng.next_below(9);
+    for (std::size_t i = 0; i < len; ++i) {
+      templates[t].push_back(static_cast<u32>(rng.next_below(500)));
+    }
+    std::sort(templates[t].begin(), templates[t].end());
+  }
+  std::vector<std::vector<u32>> lists;
+  for (int i = 0; i < 60000; ++i) {
+    lists.push_back(templates[rng.next_below(templates.size())]);
+  }
+  const auto gi = graph_of(lists);
+  const DistinctLists expected = reference_distinct(gi, 2);
+  ASSERT_LT(expected.lists.num_left(), gi.num_left() / 10);
+  expect_same(distinct_lists(gi, 2), expected, "");
+}
+
+TEST(DistinctLists, EmptyGraph) {
+  for (const BipartiteShingleGraph& gi :
+       {BipartiteShingleGraph{}, graph_of({})}) {
+    const DistinctLists d = distinct_lists(gi, 2);
+    EXPECT_TRUE(d.rep_of.empty());
+    EXPECT_EQ(d.lists.num_left(), 0u);
+    EXPECT_EQ(d.lists.offsets, (std::vector<u64>{0}));
+    const S1Components none = d.expand(S1Components{});
+    EXPECT_TRUE(none.of.empty());
+    EXPECT_EQ(none.count, 0u);
+  }
+}
+
+TEST(DistinctLists, ExpandGivesEveryDuplicateItsRepresentativesComponent) {
+  const auto gi = graph_of({{1, 2}, {3}, {5, 6}, {1, 2}, {7, 8}, {5, 6}});
+  const DistinctLists d = distinct_lists(gi, 2);
+  ASSERT_EQ(d.lists.num_left(), 3u);  // S1 nodes 0, 2 and 4
+  S1Components compact;
+  compact.of = {0, 1, 0};
+  compact.count = 2;
+  const S1Components full = d.expand(compact);
+  constexpr u32 kNone = S1Components::kNone;
+  EXPECT_EQ(full.of, (std::vector<u32>{0, kNone, 1, 0, 0, 1}));
+  EXPECT_EQ(full.count, 2u);
+  S1Components wrong_size;
+  wrong_size.of = {0};
+  wrong_size.count = 1;
+  EXPECT_THROW(d.expand(wrong_size), InvalidArgument);
 }
 
 }  // namespace

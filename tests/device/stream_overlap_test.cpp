@@ -58,6 +58,35 @@ TEST(StreamOverlap, ExposedSecondsSumToMakespan) {
   EXPECT_DOUBLE_EQ(tl.busy(device::OpKind::CopyD2H), 2.0);
 }
 
+TEST(StreamOverlap, ExposedSplitDoesNotDependOnEnqueueOrder) {
+  // A shingling lane's pattern: a trial's kernel, its result copy on the
+  // copy stream, and the next trial's kernel, which runs beside the copy.
+  // Whichever of the two is enqueued first, the copy is the hidden one.
+  for (bool copy_first : {true, false}) {
+    SCOPED_TRACE(copy_first ? "copy first" : "kernel first");
+    device::SimTimeline tl(2, /*engine_exclusive=*/true);
+    const double k0 = tl.enqueue(0, device::OpKind::Kernel, 1.0);
+    if (copy_first) tl.enqueue(1, device::OpKind::CopyD2H, 0.5, k0);
+    tl.enqueue(0, device::OpKind::Kernel, 1.0);
+    if (!copy_first) tl.enqueue(1, device::OpKind::CopyD2H, 0.5, k0);
+    EXPECT_DOUBLE_EQ(tl.makespan(), 2.0);
+    EXPECT_DOUBLE_EQ(tl.exposed(device::OpKind::Kernel), 2.0);
+    EXPECT_DOUBLE_EQ(tl.exposed(device::OpKind::CopyD2H), 0.0);
+  }
+}
+
+TEST(StreamOverlap, ExposedSplitRanksUploadsOverDownloadsAndChargesIdleTime) {
+  device::SimTimeline tl(3, /*engine_exclusive=*/true);
+  tl.enqueue(0, device::OpKind::CopyD2H, 1.0);
+  tl.enqueue(1, device::OpKind::CopyH2D, 1.0);  // beside the download
+  // Starts after an idle second, which it ends: charged to the kernel.
+  tl.enqueue(2, device::OpKind::Kernel, 0.5, /*ready_after=*/2.0);
+  EXPECT_DOUBLE_EQ(tl.makespan(), 2.5);
+  EXPECT_DOUBLE_EQ(tl.exposed(device::OpKind::CopyH2D), 1.0);
+  EXPECT_DOUBLE_EQ(tl.exposed(device::OpKind::CopyD2H), 0.0);
+  EXPECT_DOUBLE_EQ(tl.exposed(device::OpKind::Kernel), 1.5);
+}
+
 TEST(StreamOverlap, EnsureStreamsGrowsAndNeverShrinks) {
   device::SimTimeline tl(1);
   EXPECT_EQ(tl.num_streams(), 1u);

@@ -285,27 +285,29 @@ TEST(VerifyPipelinePins, ModeledTimelineAndLadderMatchPinnedValues) {
   // recovery counter of the device verify pass, one row per rung of the
   // fault ladder: a transient retry, an OOM replan, a drain followed by a
   // same-size retry, and the CPU fallback. Recorded before the verify
-  // and shingling passes shared one batch pipeline.
+  // and shingling passes shared one batch pipeline; the exposed columns of
+  // the multi-stream rows were re-recorded when SimTimeline::exposed
+  // stopped depending on enqueue order.
   using Mode = fault::ResilienceMode;
   const PinnedVerify pins[] = {
       {1, 8, "", Mode::Off, 10, 1, 0, 0, 0, false, 0x1.f0f677c101bd8p-8,
        0x1.872e87fdbad66p-8, 0x1.21b155a2f4b7p-10, 0x1.0adcd2d44dcafp-11,
        1756},
       {4, 8, "", Mode::Off, 10, 2, 0, 0, 0, false, 0x1.91d1792eeafa1p-8,
-       0x1.691fd430c4431p-8, 0x1.d582a8e73f69ep-14, 0x1.0adcd2d44dcadp-11,
+       0x1.872e87fdbad65p-8, 0x1.d582a8e73f69ep-14, 0x1.a67346c99308p-15,
        3026},
       {2, 8, "kernel_fail@kernel:2,xfer_fail@d2h:4", Mode::Retry, 10, 1, 2, 0,
        0, false, 0x1.14d5c31e2aebep-7, 0x1.cef658f372643p-8,
-       0x1.cacc9772cdd25p-11, 0x1.0adcd2d44dc9fp-11, 1756},
+       0x1.5da11aed41362p-10, 0x1.a67346c993p-15, 1756},
       {1, 8, "oom@alloc:4", Mode::Retry, 18, 1, 0, 1, 0, false,
        0x1.255bda1b69e9p-7, 0x1.8c6cb55ff3b09p-8, 0x1.0571032274499p-9,
        0x1.dc93ea2d2fe57p-11, 1290},
       {4, 8, "oom@alloc:4", Mode::Retry, 10, 2, 0, 0, 1, false,
-       0x1.91d1792eeafa1p-8, 0x1.691fd430c4431p-8, 0x1.d582a8e73f69ep-14,
-       0x1.0adcd2d44dcadp-11, 3026},
+       0x1.91d1792eeafa1p-8, 0x1.872e87fdbad65p-8, 0x1.d582a8e73f69ep-14,
+       0x1.a67346c99308p-15, 3026},
       {2, 8, "kernel_fail@kernel:3-99999", Mode::Fallback, 3, 1, 6, 0, 0, true,
-       0x1.24f263f1524e6p-8, 0x1.a84525707453cp-9, 0x1.1b2baa7dc2786p-10,
-       0x1.409cd334f0cdcp-13, 1756},
+       0x1.24f263f1524e6p-8, 0x1.a84525707453cp-9, 0x1.433f44e460921p-10,
+       0x0p+0, 1756},
   };
   const auto sequences = verify_workload(7300);
   auto scalar_cfg = base_config();

@@ -209,7 +209,7 @@ TEST(ChromeTrace, PipelineRunEmitsLabeledSchemaValidTrace) {
     phases.insert(std::string(e.name.substr(0, e.name.find('.'))));
   }
   for (const char* phase :
-       {"pass1", "aggregate1", "pass2", "aggregate2", "report"}) {
+       {"pass1", "aggregate1", "dedup", "pass2", "aggregate2", "report"}) {
     EXPECT_TRUE(phases.contains(phase)) << "missing phase " << phase;
   }
 
@@ -233,8 +233,8 @@ TEST(ChromeTrace, PipelineRunEmitsLabeledSchemaValidTrace) {
   EXPECT_EQ(tracer.counter("sequences"), g.num_vertices());
   for (const char* counter :
        {"tuples", "shingles", "batches", "h2d_bytes", "d2h_bytes",
-        "arena_peak_bytes", "pass1.tuples", "pass2.tuples", "g1.shingles",
-        "g2.shingles"}) {
+        "arena_peak_bytes", "pass1.tuples", "pass2.tuples", "pass2.lists",
+        "pass1.d2h_bytes", "pass2.d2h_bytes", "g1.shingles", "g2.shingles"}) {
     EXPECT_GT(tracer.counter(counter), 0u) << "counter " << counter;
   }
   // The per-pass counters split the summed ones.
@@ -242,6 +242,11 @@ TEST(ChromeTrace, PipelineRunEmitsLabeledSchemaValidTrace) {
             tracer.counter("pass1.tuples") + tracer.counter("pass2.tuples"));
   EXPECT_EQ(tracer.counter("shingles"),
             tracer.counter("g1.shingles") + tracer.counter("g2.shingles"));
+  EXPECT_EQ(tracer.counter("d2h_bytes"), tracer.counter("pass1.d2h_bytes") +
+                                             tracer.counter("pass2.d2h_bytes"));
+  // Pass 2 emits one tuple per trial for each list it shingles.
+  EXPECT_EQ(tracer.counter("pass2.tuples"),
+            std::size_t{params.c2} * tracer.counter("pass2.lists"));
 
   // Parse the export and check the schema: every span is a complete ("X")
   // event labeled host_measured or device_modeled, on the matching pid.
