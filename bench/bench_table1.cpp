@@ -17,12 +17,14 @@
 // chrome://tracing export carries — and cross-checked against the
 // pipeline's own GpClustReport.
 //
-// Flags: --scale20k, --scale2m (workload scale), --quick (tiny run),
+// Flags: --scale20k, --scale2m (workload scale), --quick (tiny run; each
+//        host-measured column is the best of 3 runs, as CI gates it),
 //        --trace-out=PREFIX (write PREFIX<row>.json chrome traces),
 //        --json=PATH (machine-readable rows, schema in docs/bench_json.md).
 // Exits 1 if either self-check (serial == gpClust partition, trace ==
 // GpClustReport device columns) fails.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -46,9 +48,11 @@ struct RowResult {
   std::size_t edges = 0;
   double cpu = 0, gpu = 0, h2d = 0, d2h = 0, disk = 0;
   double emulate = 0;  ///< host seconds spent executing the modeled kernels
+  double makespan = 0;  ///< modeled device seconds of the gpClust run
   double total = 0;
   double serial_total = 0;
   double serial_shingling = 0;
+  double serial_hash_sort = 0;  ///< shingling plus both aggregations
   // Deterministic work counts of the gpClust run (its tracer counters).
   u64 tuples1 = 0, tuples2 = 0;
   u64 pass2_lists = 0;  ///< the distinct G_I lists pass 2 ran on
@@ -120,7 +124,8 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   row.h2d = tracer.modeled_category_total("copy_h2d").value;
   row.d2h = tracer.modeled_category_total("copy_d2h").value;
   row.disk = disk.value;
-  row.total = row.cpu + row.disk + report.device_makespan;
+  row.makespan = report.device_makespan;
+  row.total = row.cpu + row.disk + row.makespan;
   row.tuples1 = tracer.counter("pass1.tuples");
   row.tuples2 = tracer.counter("pass2.tuples");
   row.g1_shingles = tracer.counter("g1.shingles");
@@ -160,18 +165,53 @@ RowResult run_instance(const std::string& name, const graph::CsrGraph& g,
   // operations in the first and second level shingling" — extraction plus
   // the grouping of each level's tuples (G_I's gather sort, the pass-2
   // component merge).
-  const double hash_sort = row.serial_shingling +
-                           (serial_tracer.host_total("aggregate1") +
-                            serial_tracer.host_total("aggregate2"))
-                               .value;
+  row.serial_hash_sort = row.serial_shingling +
+                         (serial_tracer.host_total("aggregate1") +
+                          serial_tracer.host_total("aggregate2"))
+                             .value;
+  return row;
+}
+
+/// Runs one row `reps` times and keeps each host-measured column's fastest
+/// run: the host is shared with other work, so one run can be 2x off.
+/// Counts and modeled columns are deterministic; a run that disagrees on
+/// any of them fails the row's self-check. Traces come from the first run.
+RowResult best_of_runs(int reps, const std::string& name,
+                       const graph::CsrGraph& g,
+                       const core::ShinglingParams& params,
+                       const std::string& trace_prefix) {
+  RowResult best = run_instance(name, g, params, trace_prefix);
+  for (int rep = 1; rep < reps; ++rep) {
+    const RowResult r = run_instance(name, g, params, "");
+    if (r.tuples1 != best.tuples1 || r.tuples2 != best.tuples2 ||
+        r.pass2_lists != best.pass2_lists ||
+        r.g1_shingles != best.g1_shingles ||
+        r.g2_shingles != best.g2_shingles || r.d2h_bytes != best.d2h_bytes ||
+        r.families != best.families || r.gpu != best.gpu ||
+        r.h2d != best.h2d || r.d2h != best.d2h ||
+        r.makespan != best.makespan) {
+      std::fprintf(stderr, "ERROR: repeated %s runs disagree on a count or "
+                   "a modeled column!\n", name.c_str());
+      best.consistent = false;
+    }
+    best.consistent = best.consistent && r.consistent;
+    best.cpu = std::min(best.cpu, r.cpu);
+    best.disk = std::min(best.disk, r.disk);
+    best.emulate = std::min(best.emulate, r.emulate);
+    best.serial_total = std::min(best.serial_total, r.serial_total);
+    best.serial_shingling = std::min(best.serial_shingling, r.serial_shingling);
+    best.serial_hash_sort = std::min(best.serial_hash_sort, r.serial_hash_sort);
+  }
+  best.total = best.cpu + best.disk + best.makespan;
   std::printf("  serial profile [%s]: shingle extraction %.1f%%, "
               "hashing+sorting total %.1f%% of %.2fs\n",
-              name.c_str(), 100.0 * row.serial_shingling / row.serial_total,
-              100.0 * hash_sort / row.serial_total, row.serial_total);
+              name.c_str(), 100.0 * best.serial_shingling / best.serial_total,
+              100.0 * best.serial_hash_sort / best.serial_total,
+              best.serial_total);
   std::printf("  host emulation of the modeled kernels [%s]: %.2fs "
               "(not in the CPU column)\n",
-              name.c_str(), row.emulate);
-  return row;
+              name.c_str(), best.emulate);
+  return best;
 }
 
 }  // namespace
@@ -197,9 +237,12 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   const auto trace_prefix = args.get_string("trace-out", "");
+  const int reps = quick ? 3 : 1;
   std::vector<RowResult> rows;
-  rows.push_back(run_instance("20K-analog", g20.graph, params, trace_prefix));
-  rows.push_back(run_instance("2M-analog", g2m.graph, params, trace_prefix));
+  rows.push_back(
+      best_of_runs(reps, "20K-analog", g20.graph, params, trace_prefix));
+  rows.push_back(
+      best_of_runs(reps, "2M-analog", g2m.graph, params, trace_prefix));
   std::printf("\n");
 
   util::AsciiTable table({"graph", "#non-singleton", "#edges", "CPU", "GPU",

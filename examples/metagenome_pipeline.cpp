@@ -66,11 +66,11 @@ int main(int argc, char** argv) {
               "(%.1fs, Smith-Waterman verified)\n",
               hstats.num_candidate_pairs, graph.num_edges(),
               homology_timer.seconds());
-  std::printf("  filter cascade: %zu exact rejects, %zu heuristic rejects; "
-              "%zu score DPs (%llu simd-8bit / %llu simd-16bit / %llu scalar), "
-              "%zu traced\n",
+  std::printf("  filter cascade: %zu exact rejects, %zu heuristic rejects, "
+              "%zu exact accepts; %zu score DPs (%llu simd-8bit / %llu "
+              "simd-16bit / %llu scalar), %zu traced\n",
               hstats.num_exact_rejects, hstats.num_heuristic_rejects,
-              hstats.num_score_alignments,
+              hstats.num_exact_accepts, hstats.num_score_alignments,
               static_cast<unsigned long long>(hstats.simd.runs_8bit),
               static_cast<unsigned long long>(hstats.simd.rescues_16bit),
               static_cast<unsigned long long>(hstats.simd.scalar_fallbacks),

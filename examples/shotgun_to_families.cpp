@@ -69,11 +69,12 @@ int main(int argc, char** argv) {
   align::HomologyGraphStats hstats;
   const auto graph = align::build_homology_graph(orfs, hcfg, &hstats);
   std::printf("homology graph: %zu SW verifications (%zu score + %zu traced, "
-              "%zu pairs prefiltered) -> %zu edges (%.1fs)\n",
+              "%zu pairs prefiltered, %zu exact accepts) -> %zu edges "
+              "(%.1fs)\n",
               hstats.num_alignments, hstats.num_score_alignments,
               hstats.num_traced_alignments,
               hstats.num_exact_rejects + hstats.num_heuristic_rejects,
-              graph.num_edges(), timer.seconds());
+              hstats.num_exact_accepts, graph.num_edges(), timer.seconds());
 
   // --- 4. gpClust ---------------------------------------------------------
   device::DeviceContext device(device::DeviceSpec::tesla_k20());

@@ -1,7 +1,9 @@
 #include "align/homology_graph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
+#include <optional>
 
 #include "align/prefilter.hpp"
 #include "seq/alphabet.hpp"
@@ -34,46 +36,124 @@ TracedAlignment traced_from_end(const std::string& a, const std::string& b,
   }
 }
 
-/// X-drop used when scanning a seed diagonal purely to pick the SIMD
-/// kernel's starting lane width (generous: a better floor skips more
-/// doomed 8-bit passes; any value is correct).
-constexpr int kDispatchXdrop = 1 << 20;
-
-/// Stage 2 — the exact admissible tier (always on; provably cannot change
-/// the edge set) followed by the opt-in heuristic tier. Returns the
-/// indices of the surviving pairs, in candidate-stream order, so every
-/// backend scores the identical pair list and the reject counters are
-/// attributed identically no matter where stage 3 runs.
-std::vector<u32> prefilter_candidates(const seq::SequenceSet& sequences,
-                                      std::span<const CandidatePair> pairs,
-                                      const HomologyGraphConfig& config,
-                                      HomologyGraphStats& totals) {
-  std::vector<u32> surviving;
-  surviving.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& p = pairs[i];
-    const auto& a = sequences[p.a].residues;
-    const auto& b = sequences[p.b].residues;
-    if (exact_reject(a.size(), b.size(), config.min_score,
-                     config.min_score_per_residue)) {
-      ++totals.num_exact_rejects;
-      continue;
+/// Chunked fan-out of both verify stages over [0, n): inline for
+/// num_threads == 1, the default pool for 0, else one pool of that size
+/// shared by the two stages.
+class Fanout {
+ public:
+  explicit Fanout(std::size_t num_threads) {
+    if (num_threads == 0) {
+      pool_ = &util::default_thread_pool();
+    } else if (num_threads > 1) {
+      own_.emplace(num_threads);
+      pool_ = &*own_;
     }
-    if (config.prefilter.enabled) {
-      if (p.shared_kmers < config.prefilter.min_shared_seeds) {
-        ++totals.num_heuristic_rejects;
-        continue;
-      }
-      if (config.prefilter.min_ungapped_score > 0 &&
-          ungapped_xdrop_score(a, b, p.diag, config.prefilter.xdrop) <
-              config.prefilter.min_ungapped_score) {
-        ++totals.num_heuristic_rejects;
-        continue;
-      }
-    }
-    surviving.push_back(static_cast<u32>(i));
   }
-  return surviving;
+  Fanout(const Fanout&) = delete;  // pool_ may point into own_
+  Fanout& operator=(const Fanout&) = delete;
+
+  void operator()(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn) {
+    if (pool_ == nullptr) {
+      fn(0, n);
+    } else {
+      pool_->parallel_for(0, n, fn);
+    }
+  }
+
+ private:
+  util::ThreadPool* pool_ = nullptr;
+  std::optional<util::ThreadPool> own_;
+};
+
+/// X-drop of the seed-diagonal scan that yields each pair's score floor
+/// (generous: a higher floor decides more pairs; any value is correct).
+constexpr int kFloorXdrop = 1 << 20;
+
+/// Stage 2's verdict on one candidate pair.
+enum class Verdict : u8 {
+  Undecided,        ///< needs a score DP in stage 3
+  ExactReject,      ///< the length bound proves score < T
+  HeuristicReject,  ///< dropped by the opt-in tier
+  ExactAccept,      ///< the seed-diagonal floor proves score >= T
+};
+
+/// Stage 2's output: the undecided pairs in candidate-stream order, each
+/// with its seed-diagonal floor.
+struct Undecided {
+  std::vector<u32> pairs;
+  std::vector<int> floors;
+};
+
+/// Stage 2 — one parallel pass writes a verdict per candidate: the exact
+/// length-bound reject (always on), the opt-in heuristic tier, then the
+/// exact accept tier. The ungapped score along the pair's seed diagonal is
+/// itself a local alignment, so it lower-bounds the gapped optimum for any
+/// diagonal; a floor that reaches T proves an edge with no DP. The tier
+/// (`accept_tier`) needs min_identity == 0, since the identity gate needs
+/// a traceback.
+/// Then a serial compaction counts the verdicts, marks the accepted pairs
+/// and lists the undecided ones in candidate order, so every backend
+/// scores the identical list and the counters are attributed identically
+/// no matter where stage 3 runs.
+Undecided classify_candidates(const seq::SequenceSet& sequences,
+                              std::span<const CandidatePair> pairs,
+                              const HomologyGraphConfig& config,
+                              bool accept_tier, Fanout& fanout,
+                              std::vector<u8>& accepted,
+                              HomologyGraphStats& totals) {
+  std::vector<Verdict> verdicts(pairs.size());
+  std::vector<int> floors(pairs.size());
+  fanout(pairs.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto& p = pairs[i];
+      const auto& a = sequences[p.a].residues;
+      const auto& b = sequences[p.b].residues;
+      if (exact_reject(a.size(), b.size(), config.min_score,
+                       config.min_score_per_residue)) {
+        verdicts[i] = Verdict::ExactReject;
+        continue;
+      }
+      if (config.prefilter.enabled &&
+          (p.shared_kmers < config.prefilter.min_shared_seeds ||
+           (config.prefilter.min_ungapped_score > 0 &&
+            ungapped_xdrop_score(a, b, p.diag, config.prefilter.xdrop) <
+                config.prefilter.min_ungapped_score))) {
+        verdicts[i] = Verdict::HeuristicReject;
+        continue;
+      }
+      floors[i] = ungapped_xdrop_score(a, b, p.diag, kFloorXdrop);
+      if (accept_tier &&
+          floors[i] >= edge_score_threshold(a.size(), b.size(),
+                                            config.min_score,
+                                            config.min_score_per_residue)) {
+        verdicts[i] = Verdict::ExactAccept;
+      }
+    }
+  });
+
+  Undecided undecided;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    switch (verdicts[i]) {
+      case Verdict::ExactReject:
+        ++totals.num_exact_rejects;
+        break;
+      case Verdict::HeuristicReject:
+        ++totals.num_heuristic_rejects;
+        break;
+      case Verdict::ExactAccept:
+        ++totals.num_exact_accepts;
+        accepted[i] = 1;
+        break;
+      case Verdict::Undecided:
+        undecided.pairs.push_back(static_cast<u32>(i));
+        undecided.floors.push_back(floors[i]);
+        break;
+    }
+  }
+  totals.num_surviving_pairs =
+      totals.num_exact_accepts + undecided.pairs.size();
+  return undecided;
 }
 
 }  // namespace
@@ -109,39 +189,55 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
   GPCLUST_CHECK(!device || config.device_verify.context != nullptr,
                 "DeviceBatched verification needs a DeviceContext");
   obs::Tracer* tracer = config.tracer;
+  // Without an identity gate a verdict only needs "score >= T", so the
+  // accept tier may decide it and the SIMD kernel may stop at T.
+  const bool decide_only = config.min_identity <= 0.0;
+  Fanout fanout(config.num_threads);
 
   // Stage 2 — CPU prefilter (host-measured; this is the CPU side of the
   // critical-path split reported against the modeled device verify).
   HomologyGraphStats totals;
-  std::vector<u32> surviving;
+  std::vector<u8> accepted(pairs.size(), 0);
+  Undecided undecided;
   {
     obs::HostSpan span(tracer, "homology.prefilter");
     util::WallTimer timer;
-    surviving = prefilter_candidates(sequences, pairs, config, totals);
+    undecided = classify_candidates(sequences, pairs, config,
+                                    /*accept_tier=*/decide_only, fanout,
+                                    accepted, totals);
     totals.prefilter_host_s = timer.seconds();
   }
-  totals.num_surviving_pairs = surviving.size();
-  obs::add_counter(tracer, "homology_surviving_pairs", surviving.size());
+  const std::vector<u32>& todo = undecided.pairs;
+  obs::add_counter(tracer, "homology_surviving_pairs",
+                   totals.num_surviving_pairs);
+  obs::add_counter(tracer, "homology_exact_accepts", totals.num_exact_accepts);
 
-  // Stage 3 — batched score-only verification on the configured backend,
-  // then the (host-side) edge gate over the scores.
-  std::vector<u8> accepted(pairs.size(), 0);
+  // Stage 3 — batched score-only verification of the undecided pairs on
+  // the configured backend, then the (host-side) edge gate over the scores.
 
-  // The SIMD kernel consumes residue indices; encode every sequence once
-  // up front instead of per pair.
+  // The SIMD kernel consumes residue indices; encode each target once up
+  // front instead of per pair.
   std::vector<std::vector<u8>> encoded;
   if (simd) {
     encoded.resize(sequences.size());
-    for (std::size_t i = 0; i < sequences.size(); ++i) {
-      const std::string& r = sequences[i].residues;
-      encoded[i].resize(r.size());
+    for (const u32 i : todo) {
+      const std::string& r = sequences[pairs[i].b].residues;
+      std::vector<u8>& e = encoded[pairs[i].b];
+      if (e.size() == r.size()) continue;
+      e.resize(r.size());
       for (std::size_t j = 0; j < r.size(); ++j) {
-        encoded[i][j] = seq::residue_index(r[j]);
+        e[j] = seq::residue_index(r[j]);
       }
     }
   }
 
-  // Shared edge gate: score thresholds, then the optional identity
+  auto threshold_of = [&](const CandidatePair& p) {
+    return edge_score_threshold(sequences[p.a].residues.size(),
+                                sequences[p.b].residues.size(),
+                                config.min_score, config.min_score_per_residue);
+  };
+
+  // Shared edge gate: the score threshold, then the optional identity
   // traceback resumed from the score pass's end cell. `from_end` keeps the
   // SIMD and device paths on the banded-prefix traceback; the scalar path
   // keeps the full-matrix reference traceback (both reproduce the optimal
@@ -149,15 +245,10 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
   auto gate = [&](std::size_t pair_index, const AlignmentResult& result,
                   bool from_end, std::size_t& traced_runs) {
     const auto& p = pairs[pair_index];
-    const auto& a = sequences[p.a].residues;
-    const auto& b = sequences[p.b].residues;
-    const double needed = config.min_score_per_residue *
-                          static_cast<double>(std::min(a.size(), b.size()));
-    if (result.score < config.min_score ||
-        static_cast<double>(result.score) < needed) {
-      return;
-    }
-    if (config.min_identity > 0.0) {
+    if (result.score < threshold_of(p)) return;
+    if (!decide_only) {
+      const auto& a = sequences[p.a].residues;
+      const auto& b = sequences[p.b].residues;
       ++traced_runs;
       const auto traced = from_end
                               ? traced_from_end(a, b, result, config.alignment)
@@ -170,21 +261,20 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
   if (device) {
     VerifyDeviceStats device_stats;
     const auto scores = device_score_pairs(
-        *config.device_verify.context, sequences, pairs, surviving,
+        *config.device_verify.context, sequences, pairs, todo,
         config.alignment, config.device_verify, tracer, &device_stats);
     totals.device = device_stats;
-    // Each surviving pair is scored exactly once regardless of batch
+    // Each undecided pair is scored exactly once regardless of batch
     // retries/replans (commits are transactional), matching the host
     // backends' per-pair attribution.
-    totals.num_score_alignments += surviving.size();
+    totals.num_score_alignments += todo.size();
     obs::HostSpan span(tracer, "homology.verify.gate");
-    for (std::size_t k = 0; k < surviving.size(); ++k) {
+    for (std::size_t k = 0; k < todo.size(); ++k) {
       AlignmentResult result;
       result.score = scores[k].score;
       result.a_end = scores[k].a_end;
       result.b_end = scores[k].b_end;
-      gate(surviving[k], result, /*from_end=*/true,
-           totals.num_traced_alignments);
+      gate(todo[k], result, /*from_end=*/true, totals.num_traced_alignments);
     }
   } else {
     std::mutex totals_mutex;
@@ -193,42 +283,31 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
       // single-slot profile cache serves nearly every pair in the chunk.
       LruQueryProfileCache cache(1);
       SimdCounters simd_counters;
-      std::size_t score_runs = 0;
       std::size_t traced_runs = 0;
       for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t i = surviving[k];
+        const std::size_t i = todo[k];
         const auto& p = pairs[i];
         const auto& a = sequences[p.a].residues;
-        const auto& b = sequences[p.b].residues;
         AlignmentResult result;
         if (simd) {
-          // The ungapped score along the pair's seed diagonal is itself a
-          // local alignment, so it lower-bounds the gapped optimum — a
-          // floor already inside the 8-bit clipping margin lets the kernel
-          // start at 16 bits instead of paying a doomed 8-bit pass.
-          const int floor = ungapped_xdrop_score(a, b, p.diag, kDispatchXdrop);
-          result = smith_waterman_simd(cache.get(p.a, a), encoded[p.b],
-                                       config.alignment, &simd_counters, floor);
+          // The floor steers the kernel's lane width; without an identity
+          // gate the kernel stops once the running best reaches T.
+          result = smith_waterman_simd(
+              cache.get(p.a, a), encoded[p.b], config.alignment,
+              &simd_counters, undecided.floors[k],
+              decide_only ? threshold_of(p) : kNoStopScore);
         } else {
-          result = smith_waterman(a, b, config.alignment);
+          result = smith_waterman(a, sequences[p.b].residues, config.alignment);
         }
-        ++score_runs;
         gate(i, result, /*from_end=*/simd, traced_runs);
       }
       const std::lock_guard<std::mutex> lock(totals_mutex);
-      totals.num_score_alignments += score_runs;
+      totals.num_score_alignments += hi - lo;
       totals.num_traced_alignments += traced_runs;
       totals.simd += simd_counters;
     };
     obs::HostSpan span(tracer, "homology.verify");
-    if (config.num_threads == 1) {
-      verify(0, surviving.size());
-    } else if (config.num_threads == 0) {
-      util::default_thread_pool().parallel_for(0, surviving.size(), verify);
-    } else {
-      util::ThreadPool pool(config.num_threads);
-      pool.parallel_for(0, surviving.size(), verify);
-    }
+    fanout(todo.size(), verify);
   }
 
   totals.num_candidate_pairs = pairs.size();

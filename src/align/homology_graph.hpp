@@ -5,12 +5,14 @@
 //   1. candidate stream — the sort-based k-mer index, suffix-array
 //      maximal matches or the banded MinHash/LSH sketch stage (§14) emits
 //      promising pairs;
-//   2. exact admissible prefilter — length-bound rejection that provably
-//      cannot change the edge set, plus the opt-in heuristic tier;
-//   3. batched score-only verification — the survivors are scored on one
-//      of three interchangeable backends (host scalar, host SIMD,
-//      device-batched; see align/verify_pipeline.hpp), and a pair becomes
-//      an edge when its normalized score clears the thresholds.
+//   2. exact admissible prefilter — length-bound rejection and, without an
+//      identity gate, seed-diagonal-floor acceptance, both of which
+//      provably cannot change the edge set, plus the opt-in heuristic tier;
+//   3. batched score-only verification — the pairs stage 2 left undecided
+//      are scored on one of three interchangeable backends (host scalar,
+//      host SIMD, device-batched; see align/verify_pipeline.hpp), and a
+//      pair becomes an edge when its normalized score clears the
+//      thresholds.
 
 #include "align/kmer_index.hpp"
 #include "align/lsh_seeds.hpp"
@@ -103,9 +105,13 @@ struct HomologyGraphStats {
   std::size_t num_traced_alignments = 0;  ///< traceback passes (min_identity)
   std::size_t num_exact_rejects = 0;      ///< skipped by the admissible bounds
   std::size_t num_heuristic_rejects = 0;  ///< skipped by the opt-in tier
-  /// Pairs that cleared both prefilter tiers and were actually scored.
-  /// num_score_alignments always equals this, on every backend — a pair is
-  /// scored exactly once no matter how batches are retried or replanned.
+  /// Edges proven by the seed-diagonal floor, with no DP (min_identity == 0
+  /// only).
+  std::size_t num_exact_accepts = 0;
+  /// Pairs that cleared both reject tiers. Each is either an exact accept
+  /// or scored exactly once, on every backend, no matter how batches are
+  /// retried or replanned: num_score_alignments + num_exact_accepts ==
+  /// num_surviving_pairs.
   std::size_t num_surviving_pairs = 0;
   /// Host-measured wall seconds of stage 2 (the CPU prefilter that feeds
   /// the verify backend).
@@ -120,10 +126,11 @@ struct HomologyGraphStats {
 };
 
 /// Stages 2 + 3 of the cascade as a standalone pass over an explicit pair
-/// list: the exact admissible prefilter (plus the opt-in heuristic tier),
-/// batched score-only verification on the configured backend, and the edge
-/// gate. Returns one accept flag per input pair. build_homology_graph and
-/// the streaming-ingest subsystem (src/ingest) share this path, so an
+/// list: the exact admissible tiers (plus the opt-in heuristic tier),
+/// batched score-only verification of the undecided pairs on the
+/// configured backend, and the edge gate. Returns one accept flag per input
+/// pair. build_homology_graph and the streaming-ingest subsystem
+/// (src/ingest) share this path, so an
 /// incremental run's verdict on a pair is bit-identical to a from-scratch
 /// run's — the verdict is a pure function of the two sequences and the
 /// config, never of the surrounding pair set.

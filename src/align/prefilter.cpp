@@ -1,6 +1,7 @@
 #include "align/prefilter.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "align/blosum.hpp"
@@ -14,13 +15,19 @@ int alignment_score_upper_bound(std::size_t len_a, std::size_t len_b) {
       std::min<u64>(cap, std::numeric_limits<int>::max()));
 }
 
+int edge_score_threshold(std::size_t len_a, std::size_t len_b, int min_score,
+                         double min_score_per_residue) {
+  // An integer score s satisfies s >= x exactly when s >= ceil(x).
+  const double needed = std::ceil(min_score_per_residue *
+                                  static_cast<double>(std::min(len_a, len_b)));
+  const double ceiling = std::numeric_limits<int>::max();
+  return std::max(min_score, static_cast<int>(std::min(needed, ceiling)));
+}
+
 bool exact_reject(std::size_t len_a, std::size_t len_b, int min_score,
                   double min_score_per_residue) {
-  const int upper = alignment_score_upper_bound(len_a, len_b);
-  if (upper < min_score) return true;
-  const double needed = min_score_per_residue *
-                        static_cast<double>(std::min(len_a, len_b));
-  return static_cast<double>(upper) < needed;
+  return alignment_score_upper_bound(len_a, len_b) <
+         edge_score_threshold(len_a, len_b, min_score, min_score_per_residue);
 }
 
 int ungapped_xdrop_score(std::string_view a, std::string_view b, i32 diag,

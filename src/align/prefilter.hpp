@@ -4,7 +4,10 @@
 //  * Exact tier (always on): admissible score upper bounds derived only
 //    from sequence lengths and the largest BLOSUM62 entry. A pair rejected
 //    here provably cannot clear the edge thresholds, so skipping its DP
-//    cannot change the graph.
+//    cannot change the graph. Its accept-side twin lives in
+//    homology_graph.cpp: the ungapped seed-diagonal score below is a lower
+//    bound on the optimum, so a pair whose floor clears the threshold is
+//    an edge without any DP.
 //
 //  * Heuristic tier (HomologyPrefilterConfig, default OFF): shared-seed
 //    floors and an ungapped x-drop scan along the pair's seed diagonal.
@@ -25,9 +28,16 @@ namespace gpclust::align {
 /// min(len_a, len_b) match/mismatch columns (gap columns only subtract).
 int alignment_score_upper_bound(std::size_t len_a, std::size_t len_b);
 
-/// True when the exact tier proves the pair cannot clear BOTH edge
-/// thresholds (score >= min_score and score >= min_score_per_residue *
-/// min(len_a, len_b)). Never rejects a pair the full DP would accept.
+/// The edge gate as one integer: a score clears BOTH edge thresholds
+/// (score >= min_score and score >= min_score_per_residue * min(len_a,
+/// len_b)) exactly when it is >= this value, max(min_score,
+/// ceil(min_score_per_residue * min(len_a, len_b))).
+int edge_score_threshold(std::size_t len_a, std::size_t len_b, int min_score,
+                         double min_score_per_residue);
+
+/// True when the exact tier proves the pair cannot clear the edge
+/// threshold: alignment_score_upper_bound < edge_score_threshold. Never
+/// rejects a pair the full DP would accept.
 bool exact_reject(std::size_t len_a, std::size_t len_b, int min_score,
                   double min_score_per_residue);
 

@@ -231,6 +231,7 @@ struct KernelResult {
   std::size_t a_end = 0;
   std::size_t b_end = 0;
   bool saturated = false;
+  bool stopped = false;  ///< best reached the stop score; end cells unset
 };
 
 /// One striped Farrar pass at the lane width of Vec. Scores are kept
@@ -239,10 +240,12 @@ struct KernelResult {
 /// Vec's business — see encode_lane/decode_lane), E/F states are floored
 /// at score 0 — safe because H = max(0, ...) can never benefit from a
 /// negative gap state. Returns saturated=true when the lane type may have
-/// clipped the true score, in which case the caller escalates.
+/// clipped the true score, in which case the caller escalates, and
+/// stopped=true (best >= stop, end cells unset) once the best reaches
+/// `stop`.
 template <typename Vec>
 KernelResult run_striped(const QueryProfile& qp, std::span<const u8> target,
-                         const AlignmentParams& params) {
+                         const AlignmentParams& params, int stop) {
   using Lane = typename Vec::Lane;
   constexpr std::size_t kV = Vec::kLanes;
   const std::size_t seg =
@@ -362,6 +365,15 @@ KernelResult run_striped(const QueryProfile& qp, std::span<const u8> target,
       if (colmax > out.best) {
         out.best = colmax;
         out.b_end = j + 1;
+        // The best never falls, so "score >= stop" is decided here. This
+        // test precedes the saturation one: every earlier column stayed
+        // under kSatLimit, so no add in this column could clip and colmax
+        // is a true cell score, a lower bound on the optimum.
+        if (static_cast<i64>(out.best) >= stop) {
+          out.stopped = true;
+          out.b_end = 0;
+          return out;
+        }
         // Once the best is inside the clipping margin the pass is doomed
         // (the criterion is monotone in best), so stop paying for the
         // rest of the target — the caller rescues at the next width.
@@ -418,7 +430,8 @@ bool simd_vectorized() {
 AlignmentResult smith_waterman_simd(const QueryProfile& profile,
                                     std::span<const u8> target_encoded,
                                     const AlignmentParams& params,
-                                    SimdCounters* counters, int score_floor) {
+                                    SimdCounters* counters, int score_floor,
+                                    int stop_score) {
   params.validate();
   AlignmentResult result;
   if (profile.length() == 0 || target_encoded.empty()) return result;
@@ -435,12 +448,16 @@ AlignmentResult smith_waterman_simd(const QueryProfile& profile,
   const bool skip_8bit =
       score_floor > 0 && static_cast<u64>(score_floor) >= lane8_safe;
   if (!skip_8bit) {
-    const auto r8 = run_striped<Vec8>(profile, target_encoded, params);
+    const auto r8 =
+        run_striped<Vec8>(profile, target_encoded, params, stop_score);
     if (score_cap < lane8_safe) {
       GPCLUST_CHECK(!r8.saturated, "8-bit SW pass saturated inside its cap");
     }
     if (!r8.saturated) {
-      if (counters != nullptr) ++counters->runs_8bit;
+      if (counters != nullptr) {
+        ++counters->runs_8bit;
+        if (r8.stopped) ++counters->early_stops;
+      }
       return {static_cast<int>(r8.best), r8.a_end, r8.b_end};
     }
   }
@@ -462,9 +479,13 @@ AlignmentResult smith_waterman_simd(const QueryProfile& profile,
                           static_cast<u64>(params.gap_extend);
   const bool pen16_exact = max_penalty <= 32767 || score_cap <= 32767;
   if (score_cap < lane16_safe && pen16_exact) {
-    const auto r16 = run_striped<Vec16>(profile, target_encoded, params);
+    const auto r16 =
+        run_striped<Vec16>(profile, target_encoded, params, stop_score);
     GPCLUST_CHECK(!r16.saturated, "16-bit SW pass saturated inside its cap");
-    if (counters != nullptr) ++counters->rescues_16bit;
+    if (counters != nullptr) {
+      ++counters->rescues_16bit;
+      if (r16.stopped) ++counters->early_stops;
+    }
     return {static_cast<int>(r16.best), r16.a_end, r16.b_end};
   }
 

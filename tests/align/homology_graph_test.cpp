@@ -188,34 +188,41 @@ TEST(HomologyGraph, StatsSeparateScoreAndTracedRuns) {
   const auto mg = seq::generate_metagenome(cfg);
 
   // Without an identity threshold no traceback ever runs, and every
-  // candidate either hits the exact filter or one score DP.
+  // candidate either hits an exact tier or one score DP.
   HomologyGraphConfig plain;
   plain.num_threads = 1;
   HomologyGraphStats s0;
   build_homology_graph(mg.sequences, plain, &s0);
   EXPECT_EQ(s0.num_traced_alignments, 0u);
   EXPECT_EQ(s0.num_alignments, s0.num_score_alignments);
-  EXPECT_EQ(s0.num_score_alignments + s0.num_exact_rejects,
+  EXPECT_GT(s0.num_exact_accepts, 0u);
+  EXPECT_EQ(s0.num_score_alignments + s0.num_exact_accepts,
+            s0.num_surviving_pairs);
+  EXPECT_EQ(s0.num_surviving_pairs + s0.num_exact_rejects,
             s0.num_candidate_pairs);
   EXPECT_EQ(s0.simd.runs_8bit + s0.simd.rescues_16bit +
                 s0.simd.scalar_fallbacks,
             s0.num_score_alignments);
 
   // With an identity threshold, traced DP runs add on top of score runs —
-  // the former num_alignments = pairs.size() undercounted this work.
+  // the former num_alignments = pairs.size() undercounted this work — and
+  // the accept tier is off, since the gate needs every traceback.
   HomologyGraphConfig with_identity = plain;
   with_identity.min_identity = 0.1;
   HomologyGraphStats s1;
   build_homology_graph(mg.sequences, with_identity, &s1);
   EXPECT_GT(s1.num_traced_alignments, 0u);
+  EXPECT_EQ(s1.num_exact_accepts, 0u);
+  EXPECT_EQ(s1.num_score_alignments, s1.num_surviving_pairs);
   EXPECT_EQ(s1.num_alignments,
             s1.num_score_alignments + s1.num_traced_alignments);
   EXPECT_GT(s1.num_alignments, s1.num_candidate_pairs - s1.num_exact_rejects);
 
   // Counter attribution is backend-independent: the scalar and
-  // device-batched backends must report the exact same score/traced/reject
-  // breakdown as the SIMD run above — a pair is scored exactly once no
-  // matter where (or in how many batches) the DP runs.
+  // device-batched backends must report the exact same score/traced/
+  // reject/accept breakdown as the SIMD run above — a pair is accepted
+  // without a DP or scored exactly once no matter where (or in how many
+  // batches) the DP runs.
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
   for (HomologyGraphStats base : {s0, s1}) {
     HomologyGraphConfig cfg_scalar =
@@ -234,11 +241,16 @@ TEST(HomologyGraph, StatsSeparateScoreAndTracedRuns) {
       EXPECT_EQ(st->num_score_alignments, base.num_score_alignments);
       EXPECT_EQ(st->num_traced_alignments, base.num_traced_alignments);
       EXPECT_EQ(st->num_exact_rejects, base.num_exact_rejects);
+      EXPECT_EQ(st->num_exact_accepts, base.num_exact_accepts);
       EXPECT_EQ(st->num_surviving_pairs, base.num_surviving_pairs);
+      EXPECT_EQ(st->num_score_alignments + st->num_exact_accepts,
+                st->num_surviving_pairs);
       EXPECT_EQ(st->num_alignments, base.num_alignments);
       EXPECT_EQ(st->num_edges, base.num_edges);
     }
-    EXPECT_GT(st_device.device.num_batches, 1u);
+    // Only the undecided pairs reach the device, 7 to a batch.
+    EXPECT_EQ(st_device.device.num_batches,
+              (base.num_score_alignments + 6) / 7);
     EXPECT_EQ(ctx.arena().used(), 0u);
   }
 }

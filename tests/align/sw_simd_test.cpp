@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "align/blosum.hpp"
+#include "align/prefilter.hpp"
 #include "align/query_profile.hpp"
 #include "align/smith_waterman.hpp"
 #include "seq/alphabet.hpp"
@@ -178,6 +180,70 @@ TEST(SwSimd, ProfilePaddingNeverInflatesScores) {
   }
 }
 
+TEST(SwSimd, StopScoreDecidesTheThresholdExactly) {
+  // A stop score turns the kernel into a threshold decision: score >= stop
+  // exactly when the full score is, a score below the stop is the full
+  // score, and a stopped run's score is a lower bound with no end cell.
+  // Stops straddle each pair's score and the 8-bit limit (240); long close
+  // homologs push scores past it, into the 16-bit pass.
+  util::Xoshiro256 rng(5150);
+  std::size_t stops_8bit_past_limit = 0;  // 8-bit stops with full >= 240
+  std::size_t stops_16bit = 0;
+  std::size_t full_runs_below_stop = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::size_t la = 1 + rng.next_below(iter % 3 == 0 ? 400 : 120);
+    const std::string a = random_protein(rng, la);
+    const std::string b =
+        iter % 2 == 0 ? mutate(rng, a, 0.05 + 0.05 * (iter % 5), iter % 4 * 4)
+                      : random_protein(rng, 1 + rng.next_below(200));
+    AlignmentParams params;
+    if (iter % 4 == 1) params = AlignmentParams{5, 2};
+    const AlignmentResult full = smith_waterman(a, b, params);
+    const QueryProfile profile(a);
+    std::vector<u8> encoded(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      encoded[i] = seq::residue_index(b[i]);
+    }
+    // A proven floor lets the dispatcher skip a doomed 8-bit pass.
+    const int floor = iter % 3 == 0 ? ungapped_xdrop_score(a, b, 0, 1 << 20) : 0;
+    const int stops[] = {1,        full.score / 2, full.score - 1,
+                         full.score, full.score + 1, 239,
+                         240,      241,            250 + static_cast<int>(
+                                                         rng.next_below(600))};
+    for (const int stop : stops) {
+      if (stop <= 0) continue;
+      SimdCounters counters;
+      const AlignmentResult r =
+          smith_waterman_simd(profile, encoded, params, &counters, floor, stop);
+      ASSERT_EQ(r.score >= stop, full.score >= stop)
+          << "stop=" << stop << " full=" << full.score << " a=" << a
+          << " b=" << b;
+      if (r.score < stop) {
+        ASSERT_EQ(r.score, full.score) << "stop=" << stop;
+        ASSERT_EQ(counters.early_stops, 0u);
+        ++full_runs_below_stop;
+        if (full.score > 0) {
+          // The end cell closes an optimal alignment.
+          ASSERT_EQ(smith_waterman(a.substr(0, r.a_end), b.substr(0, r.b_end),
+                                   params)
+                        .score,
+                    full.score);
+        }
+        continue;
+      }
+      ASSERT_LE(r.score, full.score) << "a stop score is a lower bound";
+      ASSERT_EQ(counters.early_stops, 1u);
+      ASSERT_EQ(r.a_end, 0u);
+      ASSERT_EQ(r.b_end, 0u);
+      if (counters.rescues_16bit > 0) ++stops_16bit;
+      if (counters.runs_8bit > 0 && full.score >= 240) ++stops_8bit_past_limit;
+    }
+  }
+  EXPECT_GT(stops_8bit_past_limit, 0u);
+  EXPECT_GT(stops_16bit, 0u);
+  EXPECT_GT(full_runs_below_stop, 0u);
+}
+
 TEST(SwSimd, CountersPartitionAllRuns) {
   util::Xoshiro256 rng(99);
   SimdCounters counters;
@@ -193,6 +259,7 @@ TEST(SwSimd, CountersPartitionAllRuns) {
   EXPECT_EQ(counters.runs_8bit + counters.rescues_16bit +
                 counters.scalar_fallbacks,
             nonempty_runs);
+  EXPECT_EQ(counters.early_stops, 0u) << "no stop score, no early stop";
 }
 
 }  // namespace

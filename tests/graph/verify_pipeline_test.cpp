@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "align/homology_graph.hpp"
+#include "align/prefilter.hpp"
 #include "align/simd.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/verify_pipeline.hpp"
@@ -55,8 +56,9 @@ u64 build_digest(const seq::SequenceSet& sequences, HomologyGraphConfig cfg,
                  HomologyGraphStats* stats_out = nullptr) {
   HomologyGraphStats stats;
   const auto graph = build_homology_graph(sequences, cfg, &stats);
-  EXPECT_EQ(stats.num_score_alignments, stats.num_surviving_pairs)
-      << "every backend scores each surviving pair exactly once";
+  EXPECT_EQ(stats.num_score_alignments + stats.num_exact_accepts,
+            stats.num_surviving_pairs)
+      << "every backend accepts or scores each surviving pair exactly once";
   if (stats_out != nullptr) *stats_out = stats;
   return graph.digest();
 }
@@ -280,39 +282,63 @@ struct PinnedVerify {
   std::size_t arena_peak;
 };
 
+/// The pairs stage 2 leaves to a backend, recomputed from the public
+/// bounds: past the length bound, and with a seed-diagonal floor (any
+/// x-drop at least the largest possible score gives the same floor) below
+/// the edge threshold.
+std::vector<u32> undecided_pairs(const seq::SequenceSet& sequences,
+                                 std::span<const CandidatePair> pairs,
+                                 const HomologyGraphConfig& cfg) {
+  std::vector<u32> out;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& a = sequences[pairs[i].a].residues;
+    const auto& b = sequences[pairs[i].b].residues;
+    const int threshold = edge_score_threshold(
+        a.size(), b.size(), cfg.min_score, cfg.min_score_per_residue);
+    if (alignment_score_upper_bound(a.size(), b.size()) < threshold) continue;
+    if (ungapped_xdrop_score(a, b, pairs[i].diag, 1 << 20) >= threshold) {
+      continue;
+    }
+    out.push_back(static_cast<u32>(i));
+  }
+  return out;
+}
+
 TEST(VerifyPipelinePins, ModeledTimelineAndLadderMatchPinnedValues) {
   // The modeled makespan, its exposed split, the arena peak and every
   // recovery counter of the device verify pass, one row per rung of the
   // fault ladder: a transient retry, an OOM replan, a drain followed by a
-  // same-size retry, and the CPU fallback. Recorded before the verify
-  // and shingling passes shared one batch pipeline; the exposed columns of
-  // the multi-stream rows were re-recorded when SimTimeline::exposed
-  // stopped depending on enqueue order.
+  // same-size retry, and the CPU fallback. Only the pairs the exact tiers
+  // leave undecided reach the device; 2 pairs a batch keeps every
+  // schedule's fault inside the run. Each row is also held to a direct
+  // device_score_pairs run over the undecided list.
   using Mode = fault::ResilienceMode;
   const PinnedVerify pins[] = {
-      {1, 8, "", Mode::Off, 10, 1, 0, 0, 0, false, 0x1.f0f677c101bd8p-8,
-       0x1.872e87fdbad66p-8, 0x1.21b155a2f4b7p-10, 0x1.0adcd2d44dcafp-11,
-       1756},
-      {4, 8, "", Mode::Off, 10, 2, 0, 0, 0, false, 0x1.91d1792eeafa1p-8,
-       0x1.872e87fdbad65p-8, 0x1.d582a8e73f69ep-14, 0x1.a67346c99308p-15,
-       3026},
-      {2, 8, "kernel_fail@kernel:2,xfer_fail@d2h:4", Mode::Retry, 10, 1, 2, 0,
-       0, false, 0x1.14d5c31e2aebep-7, 0x1.cef658f372643p-8,
-       0x1.5da11aed41362p-10, 0x1.a67346c993p-15, 1756},
-      {1, 8, "oom@alloc:4", Mode::Retry, 18, 1, 0, 1, 0, false,
-       0x1.255bda1b69e9p-7, 0x1.8c6cb55ff3b09p-8, 0x1.0571032274499p-9,
-       0x1.dc93ea2d2fe57p-11, 1290},
-      {4, 8, "oom@alloc:4", Mode::Retry, 10, 2, 0, 0, 1, false,
-       0x1.91d1792eeafa1p-8, 0x1.872e87fdbad65p-8, 0x1.d582a8e73f69ep-14,
-       0x1.a67346c99308p-15, 3026},
-      {2, 8, "kernel_fail@kernel:3-99999", Mode::Fallback, 3, 1, 6, 0, 0, true,
-       0x1.24f263f1524e6p-8, 0x1.a84525707453cp-9, 0x1.433f44e460921p-10,
-       0x0p+0, 1756},
+      {1, 2, "", Mode::Off, 11, 1, 0, 0, 0, false, 0x1.030314b2699f3p-8,
+       0x1.2525288381d53p-9, 0x1.30e2f6dabd507p-10, 0x1.21be15cfcb04p-11,
+       773},
+      {4, 2, "", Mode::Off, 11, 2, 0, 0, 0, false, 0x1.398b91ef00536p-9,
+       0x1.2525288381d53p-9, 0x1.ba1463645366bp-14, 0x1.a5719416f8cp-15,
+       1517},
+      {2, 2, "kernel_fail@kernel:2,xfer_fail@d2h:4", Mode::Retry, 11, 1, 2, 0,
+       0, false, 0x1.0e3d631581a51p-8, 0x1.61917ba4216e2p-9,
+       0x1.68a7086d0bf21p-10, 0x1.a5719416f8cp-15, 773},
+      {1, 2, "oom@alloc:4", Mode::Retry, 21, 1, 0, 1, 0, false,
+       0x1.70285c14a8d95p-8, 0x1.324099f90ff7p-9, 0x1.241761708853p-9,
+       0x1.13f1797f72d14p-10, 717},
+      {4, 2, "oom@alloc:4", Mode::Retry, 11, 2, 0, 0, 1, false,
+       0x1.3c8a166640484p-9, 0x1.2525288381d53p-9, 0x1.0cf279262901p-13,
+       0x1.a5719416f8cp-15, 1517},
+      {2, 2, "kernel_fail@kernel:3-99999", Mode::Fallback, 3, 1, 6, 0, 0, true,
+       0x1.a5bd7a8593639p-9, 0x1.0d368589528aep-9, 0x1.310de9f881b17p-10,
+       0x0p+0, 773},
   };
   const auto sequences = verify_workload(7300);
   auto scalar_cfg = base_config();
   scalar_cfg.verify_backend = VerifyBackend::HostScalar;
   const u64 expected = build_digest(sequences, scalar_cfg);
+  const auto pairs = find_candidate_pairs(sequences, scalar_cfg.seeds);
+  const auto undecided = undecided_pairs(sequences, pairs, scalar_cfg);
   for (const PinnedVerify& pin : pins) {
     SCOPED_TRACE(std::string("streams=") + std::to_string(pin.streams) +
                  " plan=" + pin.plan);
@@ -327,6 +353,7 @@ TEST(VerifyPipelinePins, ModeledTimelineAndLadderMatchPinnedValues) {
     cfg.device_verify.resilience.mode = pin.mode;
     HomologyGraphStats stats;
     EXPECT_EQ(build_digest(sequences, cfg, &stats), expected);
+    EXPECT_EQ(stats.num_score_alignments, undecided.size());
     const VerifyDeviceStats& d = stats.device;
     EXPECT_EQ(d.num_batches, pin.batches);
     EXPECT_EQ(d.num_lanes, pin.lanes);
@@ -340,6 +367,22 @@ TEST(VerifyPipelinePins, ModeledTimelineAndLadderMatchPinnedValues) {
     EXPECT_DOUBLE_EQ(d.d2h_exposed_modeled_s, pin.d2h_exposed);
     EXPECT_EQ(ctx.arena().peak(), pin.arena_peak);
     EXPECT_EQ(ctx.arena().used(), 0u);
+
+    device::DeviceContext direct_ctx(
+        device::DeviceSpec::small_test_device(1 << 20));
+    fault::FaultPlan direct_plan = fault::FaultPlan::parse(pin.plan);
+    direct_ctx.set_fault_plan(&direct_plan);
+    VerifyDeviceStats direct;
+    device_score_pairs(direct_ctx, sequences, pairs, undecided,
+                       cfg.alignment, cfg.device_verify, nullptr, &direct);
+    EXPECT_EQ(direct.num_batches, d.num_batches);
+    EXPECT_EQ(direct.num_retries, d.num_retries);
+    EXPECT_EQ(direct.cpu_fallback, d.cpu_fallback);
+    EXPECT_EQ(direct.makespan_modeled_s, d.makespan_modeled_s);
+    EXPECT_EQ(direct.kernel_exposed_modeled_s, d.kernel_exposed_modeled_s);
+    EXPECT_EQ(direct.h2d_exposed_modeled_s, d.h2d_exposed_modeled_s);
+    EXPECT_EQ(direct.d2h_exposed_modeled_s, d.d2h_exposed_modeled_s);
+    EXPECT_EQ(direct_ctx.arena().peak(), ctx.arena().peak());
   }
 }
 

@@ -77,8 +77,10 @@ ingest::IngestConfig device_config(device::DeviceContext& ctx) {
 
 /// Fault-free serial replay of the same batch split: the per-batch digest
 /// reference every faulted run is held to.
-std::vector<u64> reference_digests(const std::vector<seq::SequenceSet>& batches) {
-  ingest::IngestSession session(serial_config());
+std::vector<u64> reference_digests(
+    const std::vector<seq::SequenceSet>& batches,
+    const ingest::IngestConfig& config = serial_config()) {
+  ingest::IngestSession session(config);
   std::vector<u64> digests;
   for (const auto& batch : batches) {
     session.ingest(batch);
@@ -214,12 +216,19 @@ TEST(IngestChaosDeterministic, TransferFaultInVerifyLeavesSessionUsable) {
   // — GpClust scopes the context plan to its own (unset) plan during
   // cluster(), so the fault lands in the DeviceBatched verify stage. The
   // batch must fail typed, roll back, and succeed on a fault-free retry.
+  // This workload's homologs are close enough that the seed-diagonal
+  // floor accepts every surviving pair without a DP; an identity gate
+  // turns that tier off, so each surviving pair is scored on the device.
   const seq::SequenceSet all = chaos_workload();
   const std::vector<seq::SequenceSet> batches = three_batches(all);
-  const std::vector<u64> expected = reference_digests(batches);
+  ingest::IngestConfig reference = serial_config();
+  reference.graph.min_identity = 0.3;
+  const std::vector<u64> expected = reference_digests(batches, reference);
 
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(8 << 20));
-  ingest::IngestSession session(device_config(ctx));
+  ingest::IngestConfig config = device_config(ctx);
+  config.graph.min_identity = reference.graph.min_identity;
+  ingest::IngestSession session(config);
   session.ingest(batches[0]);
   ASSERT_EQ(session.partition_digest(), expected[0]);
   const u64 pre_batch = session.partition_digest();

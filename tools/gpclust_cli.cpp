@@ -210,10 +210,11 @@ int main(int argc, char** argv) {
       g = align::build_homology_graph(sequences, hcfg, &hstats);
       std::fprintf(stderr,
                    "homology graph: %zu vertices / %zu edges in %.2fs wall "
-                   "(%zu candidate pairs, %zu survived prefilter, seeds %s, "
-                   "backend %s)\n",
+                   "(%zu candidate pairs, %zu survived prefilter: %zu exact "
+                   "accepts + %zu score DPs, seeds %s, backend %s)\n",
                    g.num_vertices(), g.num_edges(), homology_timer.seconds(),
                    hstats.num_candidate_pairs, hstats.num_surviving_pairs,
+                   hstats.num_exact_accepts, hstats.num_score_alignments,
                    std::string(align::seed_mode_name(hcfg.seed_mode)).c_str(),
                    std::string(align::verify_backend_name(hcfg.verify_backend))
                        .c_str());
