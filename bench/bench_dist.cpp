@@ -1,6 +1,7 @@
 // Extension bench: the distributed-memory shingling path (the [18]/[25]
 // lineage of the paper) — rank-count sweep with wall time, exchanged
-// tuple volume, and the serial-equivalence digest check.
+// tuple volume, and the serial-equivalence digest check (exit 1 on any
+// mismatch).
 //
 // Note: ranks are threads in one process here; on this host wall time
 // reflects hardware concurrency, not the algorithm's distributed scaling.
@@ -49,17 +50,19 @@ int main(int argc, char** argv) {
 
   util::AsciiTable table({"ranks", "wall s", "tuples exch. p1",
                           "tuples exch. p2", "result"});
+  int exit_code = 0;
   for (std::size_t ranks : rank_counts) {
     util::WallTimer timer;
     dist::DistStats stats;
     auto c = dist::distributed_cluster(pg.graph, params, ranks, &stats);
     const double seconds = timer.seconds();
     c.normalize();
+    if (c.digest() != reference) exit_code = 1;
     table.add_row({std::to_string(ranks), util::AsciiTable::fmt(seconds),
                    std::to_string(stats.tuples_exchanged_pass1),
                    std::to_string(stats.tuples_exchanged_pass2),
                    c.digest() == reference ? "== serial" : "MISMATCH!"});
   }
   std::printf("%s\n", table.render().c_str());
-  return 0;
+  return exit_code;
 }

@@ -23,8 +23,6 @@
 // i+1's H2D and kernels. num_streams=1 is the paper's synchronous Thrust
 // behavior; num_streams=2 is one lane with a dedicated copy stream.
 
-#include <functional>
-
 #include "core/batching.hpp"
 #include "core/minhash.hpp"
 #include "core/params.hpp"
@@ -50,9 +48,6 @@ struct DevicePassOptions {
   /// of device::BatchPipeline.
   fault::ResiliencePolicy resilience;
 };
-
-/// Receives a pass's tuples one batch at a time, as each batch commits.
-using TupleSink = std::function<void(ShingleTuples&&)>;
 
 struct DevicePassStats : device::BatchPipelineStats {
   std::size_t num_split_lists = 0;

@@ -1,16 +1,15 @@
 #pragma once
 // gpClust — the paper's contribution (Algorithm 2): the CPU-GPU pipeline
-// that loads the similarity graph on the host, runs both shingling levels
-// on the device batch by batch, aggregates G_I, keeps each distinct G_I
-// list once for pass 2 and merges each committed pass-2 batch into the
-// components on the CPU, and reports dense subgraphs on the CPU.
+// that runs both shingling levels on the device batch by batch inside the
+// stage sequence every engine shares (two_pass_shingling: aggregation,
+// distinct lists, the pass-2 component merge and the report on the CPU).
+// GpClust adds the device side only: the context binding, the per-pass
+// D2H split, DevicePassStats and GpClustReport.
 //
 // Produces bit-identical clusters to SerialShingler for the same
-// parameters (the tuples are the same set; aggregation, the component
-// merge and reporting are shared code) — enforced by the integration
-// tests.
+// parameters (the tuples are the same set, the rest is shared code) —
+// enforced by the integration tests.
 
-#include "core/cluster_report.hpp"
 #include "core/clustering.hpp"
 #include "core/device_shingling.hpp"
 #include "core/params.hpp"
@@ -48,15 +47,12 @@ struct GpClustOptions {
   /// for any finite fault schedule.
   fault::ResiliencePolicy resilience;
 
-  /// Observability: when non-null, the run records host-measured and
-  /// device-modeled phase spans (load, pass1, aggregate1, dedup, pass2,
-  /// aggregate2 — one per committed pass-2 batch — and report) and the
-  /// pipeline counters (sequences, tuples and shingles in total and per
-  /// pass as pass1/pass2.tuples and g1/g2.shingles, the lists pass 2 ran
-  /// on as pass2.lists, batches, h2d bytes, d2h bytes in total and per
-  /// pass as pass1/pass2.d2h_bytes, arena high-water mark) into this
-  /// tracer. The tracer is bound to the device context for the duration of
-  /// the run only. Tracing never affects the clustering result.
+  /// Observability: when non-null, the run records the stage sequence's
+  /// spans and counters (two_pass_shingling), "load", the device passes'
+  /// "pass1"/"pass2" spans and the "batches", "tuples", "h2d_bytes",
+  /// "d2h_bytes" (also as pass1/pass2.d2h_bytes) and "arena_peak_bytes"
+  /// counters into this tracer, bound to the device context for the run
+  /// only. Tracing never affects the clustering result.
   obs::Tracer* tracer = nullptr;
 };
 

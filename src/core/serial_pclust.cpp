@@ -2,8 +2,10 @@
 
 #include <array>
 
+#include "core/cluster_report.hpp"
 #include "core/shingle.hpp"
 #include "obs/trace.hpp"
+#include "util/timer.hpp"
 
 namespace gpclust::core {
 
@@ -13,7 +15,8 @@ constexpr u32 kMaxShingleSize = 64;
 
 ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
                                       std::span<const u32> members,
-                                      const HashFamily& family, u32 s) {
+                                      const HashFamily& family, u32 s,
+                                      u32 first_owner) {
   GPCLUST_CHECK(!offsets.empty() && offsets.back() == members.size(),
                 "offsets must cover the member array");
   GPCLUST_CHECK(s >= 1 && s <= kMaxShingleSize, "unsupported shingle size");
@@ -30,66 +33,89 @@ ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
       min_s_images({members.data() + offsets[i], len}, h, s,
                    {minima.data(), s});
       const ShingleId id = hash_shingle(j, {minima.data(), s});
-      tuples.append(id, static_cast<u32>(i));
+      tuples.append(id, first_owner + static_cast<u32>(i));
     }
   }
   return tuples;
 }
 
-Clustering SerialShingler::cluster(const graph::CsrGraph& g,
-                                   obs::Tracer* tracer) const {
-  params_.validate(g.num_vertices());
+Clustering two_pass_shingling(const graph::CsrGraph& g,
+                              const ShinglingParams& params,
+                              const ShinglingPass& pass1,
+                              const ShinglingPass& pass2, obs::Tracer* tracer,
+                              double* host_seconds) {
+  params.validate(g.num_vertices());
   obs::add_counter(tracer, "sequences", g.num_vertices());
+  const HashFamily family1(params.c1, params.prime, params.seed, 1);
+  const HashFamily family2(params.c2, params.prime, params.seed, 2);
+  util::MetricsRegistry reg;
 
-  const HashFamily family1(params_.c1, params_.prime, params_.seed, 1);
-  const HashFamily family2(params_.c2, params_.prime, params_.seed, 2);
-
-  ShingleTuples tuples1;
-  {
-    obs::HostSpan span(tracer, "shingling1");
-    tuples1 = extract_shingles_serial(g.offsets(), g.adjacency(), family1,
-                                      params_.s1);
-  }
-  const std::size_t num_tuples1 = tuples1.size();
+  ShingleTuples tuples1 =
+      pass1(g.offsets(), g.adjacency(), family1, params.s1, {});
+  obs::add_counter(tracer, "pass1.tuples", tuples1.size());
+  // A list shorter than s2 emits no pass-2 shingle, so Phase III never
+  // reads it; the others keep their order, so components do too.
   BipartiteShingleGraph gi;
+  std::size_t num_s1 = 0;
   {
+    util::ScopedTimer t(reg, "host");
     obs::HostSpan span(tracer, "aggregate1");
-    gi = aggregate_tuples(std::move(tuples1));
+    gi = aggregate_tuples(std::move(tuples1), params.s2, &num_s1);
   }
-
-  // Pass 2 over each distinct list once, as in GpClust (DESIGN.md §8).
+  // Identical lists get identical second-level shingles (DESIGN.md §8).
   DistinctLists distinct;
   {
+    util::ScopedTimer t(reg, "host");
     obs::HostSpan span(tracer, "dedup");
-    distinct = distinct_lists(gi, params_.s2);
+    distinct = distinct_lists(gi);
   }
 
-  ShingleTuples tuples2;
-  {
-    obs::HostSpan span(tracer, "shingling2");
-    tuples2 = extract_shingles_serial(distinct.lists.offsets,
-                                      distinct.lists.members, family2,
-                                      params_.s2);
-  }
-  // The same component merge GpClust runs at each batch commit, over the
-  // single serial pass: G_II is never built.
-  const std::size_t num_tuples2 = tuples2.size();
   S1ComponentBuilder merge(distinct.lists.num_left());
-  {
-    obs::HostSpan span(tracer, "aggregate2");
-    merge.add(std::move(tuples2));
-  }
-  obs::add_counter(tracer, "pass1.tuples", num_tuples1);
+  std::size_t num_tuples2 = 0;
+  pass2(distinct.lists.offsets, distinct.lists.members, family2, params.s2,
+        [&](ShingleTuples&& batch) {
+          util::ScopedTimer t(reg, "host");
+          obs::HostSpan span(tracer, "aggregate2");
+          num_tuples2 += batch.size();
+          merge.add(std::move(batch));
+        });
   obs::add_counter(tracer, "pass2.tuples", num_tuples2);
   obs::add_counter(tracer, "pass2.lists", distinct.lists.num_left());
-  obs::add_counter(tracer, "tuples", num_tuples1 + num_tuples2);
-  obs::add_counter(tracer, "g1.shingles", gi.num_left());
+  obs::add_counter(tracer, "g1.shingles", num_s1);
   obs::add_counter(tracer, "g2.shingles", merge.num_shingles());
-  obs::add_counter(tracer, "shingles", gi.num_left() + merge.num_shingles());
+  obs::add_counter(tracer, "shingles", num_s1 + merge.num_shingles());
 
-  obs::HostSpan span(tracer, "report");
-  return report_dense_subgraphs(gi, distinct.expand(merge.components()),
-                                g.num_vertices(), params_.mode);
+  Clustering result;
+  {
+    util::ScopedTimer t(reg, "host");
+    obs::HostSpan span(tracer, "report");
+    result = report_dense_subgraphs(gi, distinct.expand(merge.components()),
+                                    g.num_vertices(), params.mode);
+  }
+  if (host_seconds != nullptr) *host_seconds = reg.get("host");
+  return result;
+}
+
+Clustering SerialShingler::cluster(const graph::CsrGraph& g,
+                                   obs::Tracer* tracer) const {
+  const auto pass = [tracer](const char* phase) -> ShinglingPass {
+    return [tracer, phase](std::span<const u64> offsets,
+                           std::span<const u32> members,
+                           const HashFamily& family, u32 s,
+                           const TupleSink& sink) {
+      ShingleTuples tuples;
+      {
+        obs::HostSpan span(tracer, phase);
+        tuples = extract_shingles_serial(offsets, members, family, s);
+      }
+      obs::add_counter(tracer, "tuples", tuples.size());
+      if (!sink) return tuples;
+      sink(std::move(tuples));
+      return ShingleTuples{};
+    };
+  };
+  return two_pass_shingling(g, params_, pass("shingling1"),
+                            pass("shingling2"), tracer);
 }
 
 }  // namespace gpclust::core

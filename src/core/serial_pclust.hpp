@@ -1,10 +1,11 @@
 #pragma once
-// The serial Shingling implementation (pClust, Wu & Kalyanaraman 2008) —
-// the baseline every speedup in the paper's Table I is measured against.
-// Two shingling passes with an s-sized insertion sort per (list, trial),
-// aggregation into shingle graphs, and Phase III reporting.
+// pClust's two-pass Shingling (Wu & Kalyanaraman 2008; paper §III-B): the
+// stage sequence every single-node engine runs — they differ only in where
+// the shingling passes run — and the serial engine, the baseline of the
+// paper's Table I, whose passes are a serial loop.
 
-#include "core/cluster_report.hpp"
+#include <functional>
+
 #include "core/clustering.hpp"
 #include "core/minhash.hpp"
 #include "core/params.hpp"
@@ -17,26 +18,41 @@ class Tracer;
 
 namespace gpclust::core {
 
-/// Serial shingle extraction over generic CSR-style lists: left node i owns
-/// members[offsets[i] .. offsets[i+1]). For each of the family's trials,
-/// every list with >= s elements contributes one <shingle, i> tuple.
+/// Serial shingle extraction over CSR-style lists: left node i owns
+/// members[offsets[i] .. offsets[i+1]). In each of the family's trials,
+/// every list with >= s elements yields one <shingle, first_owner + i>.
 ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
                                       std::span<const u32> members,
-                                      const HashFamily& family, u32 s);
+                                      const HashFamily& family, u32 s,
+                                      u32 first_owner = 0);
 
-/// pClust: the complete serial pipeline.
+/// A shingling pass: extract_shingles_serial's tuples, in any order. With a
+/// sink it hands them over batch by batch and returns none.
+using ShinglingPass = std::function<ShingleTuples(
+    std::span<const u64> offsets, std::span<const u32> members,
+    const HashFamily& family, u32 s, const TupleSink& sink)>;
+
+/// Algorithm 2 around the engine's passes: G_I keeps its lists of at least
+/// s2 members, `pass2` runs once per distinct list and each of its batches
+/// merges into S1ComponentBuilder (G_II is never built). Records the spans
+/// "aggregate1", "dedup", "aggregate2" (per batch) and "report", whose
+/// measured seconds go to `host_seconds`, and the counters "sequences",
+/// "pass{1,2}.tuples", "pass2.lists", "g{1,2}.shingles" and "shingles".
+Clustering two_pass_shingling(const graph::CsrGraph& g,
+                              const ShinglingParams& params,
+                              const ShinglingPass& pass1,
+                              const ShinglingPass& pass2, obs::Tracer* tracer,
+                              double* host_seconds = nullptr);
+
+/// pClust: the stage sequence with serial passes.
 class SerialShingler {
  public:
   explicit SerialShingler(ShinglingParams params) : params_(params) {}
 
   const ShinglingParams& params() const { return params_; }
 
-  /// Clusters the similarity graph. When `tracer` is provided, the phases
-  /// are recorded as host-measured spans ("shingling1", "aggregate1",
-  /// "dedup", "shingling2", "aggregate2", "report") plus the
-  /// "sequences"/"tuples"/"shingles" counters — the profile the paper uses
-  /// to show ~80% of serial time is in shingling. Every span of a serial
-  /// run is host-measured (there is no device).
+  /// Clusters the similarity graph; the passes add the "shingling1/2" spans
+  /// and the "tuples" counter to the sequence's (all host-measured).
   Clustering cluster(const graph::CsrGraph& g,
                      obs::Tracer* tracer = nullptr) const;
 

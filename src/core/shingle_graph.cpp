@@ -58,12 +58,13 @@ inline u32 bucket_of(ShingleId shingle, u32 buckets) {
 /// prefix sum, a scatter straight from the tuple arrays into one packed
 /// allocation, a parallel per-bucket sort — then a parallel dedup and
 /// grouping of every bucket, and a parallel write of each bucket's groups
-/// at its prefix-summed position. bucket_of is monotone in the shingle id
-/// and every key of one shingle lands in one bucket, so the concatenated
-/// buckets are the globally sorted, deduplicated key order: the graph is
-/// identical for every bucket count.
-BipartiteShingleGraph aggregate_bucketed(ShingleTuples&& tuples,
-                                         u32 buckets) {
+/// of at least `min_len` members at its prefix-summed position.
+/// bucket_of is monotone in the shingle id and every key of one shingle
+/// lands in one bucket, so the concatenated buckets are the globally
+/// sorted, deduplicated key order: the graph is identical for every
+/// bucket count.
+BipartiteShingleGraph aggregate_bucketed(ShingleTuples&& tuples, u32 buckets,
+                                         u32 min_len, std::size_t* num_left) {
   const std::size_t n = tuples.size();
   GPCLUST_CHECK(tuples.owner.size() == n, "tuple arrays out of sync");
   GPCLUST_CHECK(buckets >= 1, "need at least one bucket");
@@ -90,20 +91,32 @@ BipartiteShingleGraph aggregate_bucketed(ShingleTuples&& tuples,
   tuples.owner.clear();
   tuples.owner.shrink_to_fit();
 
-  // Dedup each sorted bucket in place; keys[b] / groups[b] count its
-  // distinct keys and distinct shingles.
+  // Dedup each sorted bucket in place and move its groups of at least
+  // min_len keys to its front; keys[b] / groups[b] count their keys and
+  // shingles, all_groups[b] every shingle of the bucket.
   std::vector<std::size_t> keys(buckets + std::size_t{1}, 0);
   std::vector<std::size_t> groups(buckets + std::size_t{1}, 0);
+  std::vector<std::size_t> all_groups(buckets, 0);
   util::for_ranges(workers, buckets, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; ++b) {
       __uint128_t* first = packed.get() + bounds[b];
       __uint128_t* last = std::unique(first, packed.get() + bounds[b + 1]);
-      keys[b] = static_cast<std::size_t>(last - first);
-      for (const __uint128_t* k = first; k != last; ++k) {
-        if (k == first || (*k >> 32) != (k[-1] >> 32)) ++groups[b];
+      __uint128_t* kept = first;
+      for (__uint128_t* group = first; group != last; ++all_groups[b]) {
+        __uint128_t* end = group + 1;
+        while (end != last && (*end >> 32) == (*group >> 32)) ++end;
+        if (static_cast<std::size_t>(end - group) >= min_len) {
+          while (group != end) *kept++ = *group++;
+          ++groups[b];
+        }
+        group = end;
       }
+      keys[b] = static_cast<std::size_t>(kept - first);
     }
   });
+  if (num_left != nullptr) {
+    *num_left = std::reduce(all_groups.begin(), all_groups.end());
+  }
   // Exclusive prefix sums: where each bucket's members and groups start.
   std::exclusive_scan(keys.begin(), keys.end(), keys.begin(), std::size_t{0});
   std::exclusive_scan(groups.begin(), groups.end(), groups.begin(),
@@ -147,30 +160,28 @@ inline u64 list_hash(std::span<const u32> list) {
 
 }  // namespace
 
-BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples) {
+BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples, u32 min_len,
+                                       std::size_t* num_left) {
   const u32 buckets = static_cast<u32>(std::clamp<std::size_t>(
       tuples.size() / kTuplesPerBucket, 1, kMaxBuckets));
-  return aggregate_bucketed(std::move(tuples), buckets);
+  return aggregate_bucketed(std::move(tuples), buckets, min_len, num_left);
 }
 
 BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
                                                u32 shards) {
   if (shards <= 1) return aggregate_tuples(std::move(tuples));
-  return aggregate_bucketed(std::move(tuples), shards);
+  return aggregate_bucketed(std::move(tuples), shards, 1, nullptr);
 }
 
-DistinctLists distinct_lists(const BipartiteShingleGraph& gi, u32 min_len) {
+DistinctLists distinct_lists(const BipartiteShingleGraph& gi) {
   const std::size_t n = gi.num_left();
   GPCLUST_CHECK(n < S1Components::kNone, "too many S1 nodes");
-  const auto eligible = [&](std::size_t f) {
-    return gi.offsets[f + 1] - gi.offsets[f] >= min_len;
-  };
 
   std::vector<u64> hash(n);
   util::for_ranges(util::group_by_workers(n, kMinListsPerWorker), n,
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t f = lo; f < hi; ++f) {
-                       if (eligible(f)) hash[f] = list_hash(gi.list(f));
+                       hash[f] = list_hash(gi.list(f));
                      }
                    });
 
@@ -184,10 +195,9 @@ DistinctLists distinct_lists(const BipartiteShingleGraph& gi, u32 min_len) {
   const int bits = std::countr_zero(table.size());
   const std::size_t mask = table.size() - 1;
   DistinctLists out;
-  out.rep_of.assign(n, S1Components::kNone);
+  out.rep_of.resize(n);
   out.lists.offsets.push_back(0);
   for (u32 f = 0; f < n; ++f) {
-    if (!eligible(f)) continue;
     u32 rep = f;
     for (std::size_t slot = home_slot(hash[f], bits);;
          slot = (slot + 1) & mask) {
@@ -217,14 +227,12 @@ S1Components DistinctLists::expand(const S1Components& compact) const {
                 "components cover a different list count");
   S1Components out;
   out.count = compact.count;
-  out.of.assign(rep_of.size(), S1Components::kNone);
+  out.of.resize(rep_of.size());
   // Representatives come in S1 order, so the k-th one met owns list k; a
   // duplicate's representative is a smaller node, already mapped.
   std::size_t k = 0;
   for (u32 f = 0; f < rep_of.size(); ++f) {
-    const u32 rep = rep_of[f];
-    if (rep == S1Components::kNone) continue;
-    out.of[f] = rep == f ? compact.of[k++] : out.of[rep];
+    out.of[f] = rep_of[f] == f ? compact.of[k++] : out.of[rep_of[f]];
   }
   return out;
 }

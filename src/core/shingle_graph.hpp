@@ -11,6 +11,7 @@
 // materialize G_II.
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -32,6 +33,9 @@ struct ShingleTuples {
     owner.push_back(o);
   }
 };
+
+/// Receives a pass's tuples one batch at a time.
+using TupleSink = std::function<void(ShingleTuples&&)>;
 
 /// G_I / G_II in CSR-like form. Left node i owns
 /// members[offsets[i] .. offsets[i+1]), sorted ascending and de-duplicated.
@@ -56,7 +60,11 @@ struct BipartiteShingleGraph {
 /// and grouping of every bucket, with about 64 tuples per bucket and at
 /// most 2^16 buckets (DESIGN.md §8). Measured host time, not modeled
 /// device time.
-BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples);
+/// Only left nodes of at least `min_len` members are kept, in order;
+/// `num_left`, when set, receives the left-node count before that pruning.
+BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples,
+                                       u32 min_len = 1,
+                                       std::size_t* num_left = nullptr);
 
 /// aggregate_tuples with an explicit bucket count: `shards` > 1 buckets by
 /// floor(shingle * shards / 2^64); `shards` <= 1 derives the count from
@@ -77,32 +85,29 @@ struct S1Components {
   std::size_t count = 0;  ///< components, numbered by their smallest S1 node
 };
 
-/// G_I's lists of at least `min_len` members with every repeated list kept
-/// once (DESIGN.md §5). Two S1 nodes with identical lists get the same
-/// second-level shingle in every trial, so they always share a component;
-/// pass 2 and the component merge run over `lists` only, and expand() maps
-/// their components back onto every S1 node. The result is exact: the
-/// same components, numbered the same way, as over all of G_I.
+/// G_I's lists with every repeated list kept once (DESIGN.md §5). Two S1
+/// nodes with identical lists get the same second-level shingle in every
+/// trial, so they always share a component; pass 2 and the component
+/// merge run over `lists` only, and expand() maps their components back
+/// onto every S1 node. The result is exact: the same components, numbered
+/// the same way, as over all of G_I.
 struct DistinctLists {
   /// List k is the k-th representative's list; representatives keep
   /// increasing S1 order.
   BipartiteShingleGraph lists;
-  /// Per S1 node: the smallest S1 node with an identical list (itself for
-  /// a representative), or S1Components::kNone for a list shorter than
-  /// min_len.
+  /// Per S1 node: the smallest S1 node with an identical list (maybe itself).
   std::vector<u32> rep_of;
 
   /// Components over the S1 nodes from components over `lists`.
   S1Components expand(const S1Components& compact) const;
 };
 
-/// Finds the distinct lists of `gi` among those with at least `min_len`
-/// members: each list is hashed in parallel, then one serial pass in S1
-/// order looks every list up in a hash table of representatives and
-/// confirms each hash match by comparing the lists. Only the hashing is
-/// parallel, list by list, so the result does not depend on the worker
-/// count.
-DistinctLists distinct_lists(const BipartiteShingleGraph& gi, u32 min_len);
+/// Finds the distinct lists of `gi`: each list is hashed in parallel, then
+/// one serial pass in S1 order looks every list up in a hash table of
+/// representatives and confirms each hash match by comparing the lists.
+/// Only the hashing is parallel, list by list, so the result does not
+/// depend on the worker count.
+DistinctLists distinct_lists(const BipartiteShingleGraph& gi);
 
 /// Builds S1Components from pass-2 tuples fed batch by batch, without
 /// sorting them or writing G_II (DESIGN.md §8). A hash map from the full

@@ -1,11 +1,11 @@
 #include "dist/dist_shingling.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/cluster_report.hpp"
 #include "core/minhash.hpp"
 #include "core/serial_pclust.hpp"
-#include "core/shingle.hpp"
 #include "core/shingle_graph.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -18,29 +18,6 @@ using core::BipartiteShingleGraph;
 using core::HashFamily;
 using core::ShingleTuples;
 
-/// Shingle extraction over the block of lists [lo, hi) of a shared
-/// CSR-style structure; owners are global left-node ids.
-ShingleTuples extract_block(std::span<const u64> offsets,
-                            std::span<const u32> members,
-                            const HashFamily& family, u32 s, std::size_t lo,
-                            std::size_t hi, u64 owner_base = 0) {
-  ShingleTuples tuples;
-  std::vector<u64> minima(s);
-  for (u32 j = 0; j < family.size(); ++j) {
-    const core::AffineHash& h = family[j];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t len =
-          static_cast<std::size_t>(offsets[i + 1] - offsets[i]);
-      if (len < s) continue;
-      core::min_s_images({members.data() + offsets[i], len}, h, s,
-                         {minima.data(), s});
-      const ShingleId id = core::hash_shingle(j, {minima.data(), s});
-      tuples.append(id, static_cast<u32>(owner_base + i));
-    }
-  }
-  return tuples;
-}
-
 /// Exchanges tuples so that shingle id S lands on rank S % size.
 ShingleTuples exchange_by_shingle(Communicator& comm, ShingleTuples&& tuples) {
   const std::size_t ranks = comm.size();
@@ -52,42 +29,31 @@ ShingleTuples exchange_by_shingle(Communicator& comm, ShingleTuples&& tuples) {
     owner_out[dst].push_back(tuples.owner[i]);
   }
   tuples = ShingleTuples{};
-  const auto shingle_in = comm.all_to_all(shingle_out, /*tag=*/10);
-  const auto owner_in = comm.all_to_all(owner_out, /*tag=*/11);
-
   ShingleTuples received;
-  for (RankId s = 0; s < ranks; ++s) {
-    GPCLUST_CHECK(shingle_in[s].size() == owner_in[s].size(),
-                  "tuple exchange out of sync");
-    for (std::size_t i = 0; i < shingle_in[s].size(); ++i) {
-      received.append(shingle_in[s][i], owner_in[s][i]);
-    }
+  for (const auto& part : comm.all_to_all(shingle_out, /*tag=*/10)) {
+    received.shingle.insert(received.shingle.end(), part.begin(), part.end());
   }
+  for (const auto& part : comm.all_to_all(owner_out, /*tag=*/11)) {
+    received.owner.insert(received.owner.end(), part.begin(), part.end());
+  }
+  GPCLUST_CHECK(received.shingle.size() == received.owner.size(),
+                "tuple exchange out of sync");
   return received;
 }
 
-/// Gathers per-rank bipartite pieces at the root, concatenated in rank
-/// order (matching the global id assignment).
+/// Gathers the ranks' pieces of G_I at the root, concatenated in rank
+/// order (matching the global S1 id assignment).
 BipartiteShingleGraph gather_pieces(Communicator& comm,
-                                    const BipartiteShingleGraph& local,
-                                    int tag_base) {
-  std::vector<u64> sizes;
-  sizes.reserve(local.num_left());
-  for (std::size_t i = 0; i < local.num_left(); ++i) {
-    sizes.push_back(local.offsets[i + 1] - local.offsets[i]);
+                                    const BipartiteShingleGraph& local) {
+  std::vector<u64> sizes(local.num_left());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    sizes[i] = local.offsets[i + 1] - local.offsets[i];
   }
-  const auto all_sizes = comm.gather_to_root(sizes, 0, tag_base);
-  const auto all_members = comm.gather_to_root(local.members, 0, tag_base + 1);
-
-  BipartiteShingleGraph full;
-  if (comm.rank() == 0) {
-    full.offsets.reserve(all_sizes.size() + 1);
-    full.offsets.push_back(0);
-    for (u64 size : all_sizes) full.offsets.push_back(full.offsets.back() + size);
-    full.members = all_members;
-    GPCLUST_CHECK(full.offsets.back() == full.members.size(),
-                  "gathered shingle graph inconsistent");
-  }
+  const auto all_sizes = comm.gather_to_root(sizes, 0, 20);
+  BipartiteShingleGraph full{{0}, comm.gather_to_root(local.members, 0, 21)};
+  for (u64 size : all_sizes) full.offsets.push_back(full.offsets.back() + size);
+  GPCLUST_CHECK(full.offsets.back() == full.members.size(),
+                "gathered shingle graph inconsistent");
   return full;
 }
 
@@ -149,33 +115,55 @@ core::Clustering distributed_cluster(const graph::CsrGraph& g,
     const HashFamily family1(params.c1, params.prime, params.seed, 1);
     const HashFamily family2(params.c2, params.prime, params.seed, 2);
 
-    // ---- Pass I over the shared input graph -----------------------------
+    // ---- Pass I over my block of the shared input graph ------------------
     const auto [lo, hi] = block_of(g.num_vertices(), comm.rank(), comm.size());
-    ShingleTuples local =
-        extract_block(g.offsets(), g.adjacency(), family1, params.s1, lo, hi);
-    ShingleTuples mine = exchange_by_shingle(comm, std::move(local));
+    const auto block = std::span(g.offsets()).subspan(lo, hi - lo + 1);
+    ShingleTuples mine = exchange_by_shingle(
+        comm, core::extract_shingles_serial(
+                  block, std::span(g.adjacency()).first(block.back()),
+                  family1, params.s1, static_cast<u32>(lo)));
     const u64 pass1_count = comm.all_reduce_sum(mine.size());
 
-    // Local aggregation of my shingle range; global S1 ids by prefix sum.
-    BipartiteShingleGraph gi_local = core::aggregate_tuples(std::move(mine));
+    // My piece of G_I, pruned as the engines prune; global ids by prefix.
+    std::size_t num_local_s1 = 0;
+    BipartiteShingleGraph gi_local =
+        core::aggregate_tuples(std::move(mine), params.s2, &num_local_s1);
+    const u64 g1_count = comm.all_reduce_sum(num_local_s1);
     const u64 s1_base = comm.exclusive_prefix_sum(gi_local.num_left());
+    const u64 num_s1 = comm.all_reduce_sum(gi_local.num_left());
 
-    // ---- Pass II over my local piece of G_I ------------------------------
-    ShingleTuples local2 =
-        extract_block(gi_local.offsets, gi_local.members, family2, params.s2,
-                      0, gi_local.num_left(), s1_base);
-    ShingleTuples mine2 = exchange_by_shingle(comm, std::move(local2));
+    // ---- Pass II over my piece of G_I; merge my shingle range -----------
+    ShingleTuples mine2 = exchange_by_shingle(
+        comm, core::extract_shingles_serial(gi_local.offsets, gi_local.members,
+                                            family2, params.s2,
+                                            static_cast<u32>(s1_base)));
     const u64 pass2_count = comm.all_reduce_sum(mine2.size());
-    BipartiteShingleGraph gii_local = core::aggregate_tuples(std::move(mine2));
+    core::S1ComponentBuilder merge(num_s1);
+    merge.add(std::move(mine2));
+    const u64 g2_count = comm.all_reduce_sum(merge.num_shingles());
 
-    // ---- Gather and report at the root -----------------------------------
-    const auto gi_full = gather_pieces(comm, gi_local, 20);
-    const auto gii_full = gather_pieces(comm, gii_local, 30);
+    // ---- Unite the ranks' components and report at the root --------------
+    // Each merged S1 node, keyed by its rank and local component: one more
+    // builder at the root unites the nodes any rank's component joined.
+    const core::S1Components local = merge.components();
+    ShingleTuples pairs;
+    for (u32 f = 0; f < local.of.size(); ++f) {
+      if (local.of[f] == core::S1Components::kNone) continue;
+      pairs.append((u64{comm.rank()} << 32) | local.of[f], f);
+    }
+    ShingleTuples gathered{comm.gather_to_root(pairs.shingle, 0, 30),
+                           comm.gather_to_root(pairs.owner, 0, 31)};
+    const auto gi_full = gather_pieces(comm, gi_local);
     if (comm.rank() == 0) {
-      result = core::report_dense_subgraphs(gi_full, gii_full,
+      core::S1ComponentBuilder all(num_s1);
+      all.add(std::move(gathered));
+      result = core::report_dense_subgraphs(gi_full, all.components(),
                                             g.num_vertices(), params.mode);
       exchanged1 = pass1_count;
       exchanged2 = pass2_count;
+      obs::add_counter(tracer, "g1.shingles", g1_count);
+      obs::add_counter(tracer, "g2.shingles", g2_count);
+      obs::add_counter(tracer, "shingles", g1_count + g2_count);
     }
   }, RankRunOptions{fault_plan, resilience, tracer});
 

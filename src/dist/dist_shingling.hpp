@@ -3,15 +3,15 @@
 // — the dpClust direction of the paper's lineage ([18] ported pClust to
 // distributed memory; [25] ran homology detection on thousands of ranks).
 //
-// Plan (per pass): each rank extracts shingles from a block of the
-// adjacency lists, tuples are exchanged all-to-all keyed by a hash of the
-// shingle id (so all owners of one shingle meet on one rank), every rank
-// aggregates its shingle range locally, and first-level shingles receive
-// globally unique ids via an exclusive prefix sum over local counts.
-// After the second pass the root gathers both bipartite shingle graphs
-// and reports dense subgraphs exactly like the serial implementation, so
-// the final clustering is **identical to SerialShingler's** for the same
-// parameters (verified by tests).
+// Plan (per pass): each rank shingles a block of the lists serially and
+// the tuples are exchanged all-to-all keyed by shingle id, so all owners
+// of one shingle meet on one rank. Pass 1's ranks aggregate their piece of
+// G_I (lists of at least s2 members, as the engines keep) and number its
+// shingles globally by prefix sum; pass 2's ranks merge their shingle
+// range into components (core::S1ComponentBuilder). The root gathers G_I
+// and the ranks' components, unites them and reports like the engines, so
+// the clustering is **identical to SerialShingler's** for the same
+// parameters (verified by tests). G_II is never built or gathered.
 
 #include "core/clustering.hpp"
 #include "core/params.hpp"
@@ -32,13 +32,14 @@ struct DistStats {
 };
 
 /// Clusters `g` with `num_ranks` communicating ranks. The graph is shared
-/// read-only across ranks (shared-memory style); only shingle tuples and
-/// the gathered shingle graphs travel as messages.
+/// read-only across ranks (shared-memory style); only shingle tuples, the
+/// ranks' component pairs and the gathered G_I travel as messages.
 ///
 /// When `tracer` is provided, the run records one host-measured
 /// "dist.cluster" span (wall time of the whole rank ensemble — all rank
 /// work is real host time) plus the "sequences"/"tuples" counters (tuples
-/// = total exchanged over both passes).
+/// = total exchanged over both passes) and the engines' "g1.shingles",
+/// "g2.shingles" and "shingles", summed over the ranks' shingle ranges.
 ///
 /// When `fault_plan` is provided, its send/recv schedules fire inside the
 /// comm layer and its rank_down entries mark ranks as never coming up.

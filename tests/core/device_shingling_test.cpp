@@ -407,10 +407,13 @@ TEST(FusedEmulation, Pass2ChargesEqualADirectPassOverTheDistinctLists) {
     DevicePassOptions pass;
     pass.max_batch_elements = batch;
     pass.num_streams = streams;
-    const BipartiteShingleGraph gi = aggregate_tuples(extract_shingles_device(
-        direct, g.offsets(), g.adjacency(),
-        HashFamily(params.c1, params.prime, params.seed, 1), params.s1, pass));
-    const DistinctLists distinct = distinct_lists(gi, params.s2);
+    const BipartiteShingleGraph gi = aggregate_tuples(
+        extract_shingles_device(
+            direct, g.offsets(), g.adjacency(),
+            HashFamily(params.c1, params.prime, params.seed, 1), params.s1,
+            pass),
+        params.s2);
+    const DistinctLists distinct = distinct_lists(gi);
     ASSERT_LT(distinct.lists.num_left(), gi.num_left());
     DevicePassStats stats2;
     const ShingleTuples tuples2 = extract_shingles_device(

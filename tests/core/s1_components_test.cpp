@@ -1,19 +1,24 @@
-// S1ComponentBuilder against the reference it replaces: G_II aggregated
-// by aggregate_tuples and reported by report_dense_subgraphs(gi, gii, …).
-// Both engines now merge pass-2 tuples through the builder, so comparing
-// GpClust with SerialShingler alone would not catch a wrong merge; every
-// check here compares with the sorted-aggregation reference instead.
+// S1ComponentBuilder and every engine against the paper-literal path it
+// replaces: a full pass 2 over all of G_I, G_II aggregated by
+// aggregate_tuples and reported by report_dense_subgraphs(gi, gii, …).
+// All engines share the pass-2 merge, the G_I pruning and the
+// distinct-list collapse, so comparing them with each other alone would
+// not catch a wrong shortcut; every check here compares with that
+// reference instead.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/cluster_report.hpp"
 #include "core/gpclust.hpp"
 #include "core/serial_pclust.hpp"
 #include "core/shingle.hpp"
+#include "dist/dist_shingling.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
@@ -193,7 +198,7 @@ TEST(S1ComponentBuilder, ManyWindowsAndWorkersMatchReference) {
   expect_matches_reference(gi, t, kNumS1 + 1);
 }
 
-// -- Both engines against the reference -----------------------------------
+// -- Every engine against the reference -----------------------------------
 
 graph::CsrGraph engine_test_graph() {
   graph::PlantedFamilyConfig cfg;
@@ -219,9 +224,14 @@ struct Reference {
   /// s2 members, since each such list is shingled once.
   std::size_t tuples2 = 0;
   std::size_t pass2_lists = 0;
+  std::size_t eligible_lists = 0;  ///< G_I lists of at least s2 members
+  std::size_t short_lists = 0;     ///< the others
+  std::size_t g1_shingles = 0;
   std::size_t g2_shingles = 0;
 };
 
+/// The paper-literal path: a full pass 2 over every G_I list, G_II sorted
+/// by aggregate_tuples and report_dense_subgraphs(gi, gii, …).
 Reference reference_run(const graph::CsrGraph& g,
                         const ShinglingParams& params) {
   const HashFamily family1(params.c1, params.prime, params.seed, 1);
@@ -233,18 +243,20 @@ Reference reference_run(const graph::CsrGraph& g,
   // The full pass 2 emits c2 tuples per list of at least s2 members; the
   // engines shingle each distinct such list once.
   std::set<std::vector<u32>> distinct;
-  std::size_t eligible = 0;
+  Reference ref;
   for (std::size_t f = 0; f < gi.num_left(); ++f) {
     const auto l = gi.list(f);
-    if (l.size() < params.s2) continue;
-    ++eligible;
+    if (l.size() < params.s2) {
+      ++ref.short_lists;
+      continue;
+    }
+    ++ref.eligible_lists;
     distinct.emplace(l.begin(), l.end());
   }
-  EXPECT_EQ(tuples2.size(), std::size_t{params.c2} * eligible);
-  EXPECT_LT(distinct.size(), eligible);  // the graph has repeated lists
-  Reference ref;
+  EXPECT_EQ(tuples2.size(), std::size_t{params.c2} * ref.eligible_lists);
   ref.tuples2 = std::size_t{params.c2} * distinct.size();
   ref.pass2_lists = distinct.size();
+  ref.g1_shingles = gi.num_left();
   const BipartiteShingleGraph gii = aggregate_tuples(std::move(tuples2));
   ref.g2_shingles = gii.num_left();
   ref.clustering =
@@ -252,30 +264,72 @@ Reference reference_run(const graph::CsrGraph& g,
   return ref;
 }
 
-void expect_equals_reference(Clustering got, const Reference& ref,
-                             const obs::Tracer& tracer,
-                             const std::string& label) {
-  EXPECT_EQ(got.clusters(), ref.clustering.clusters()) << label;
+/// The partition and the shingle counts equal the reference's.
+void expect_same_clusters(Clustering got, const Reference& ref,
+                          const obs::Tracer& tracer,
+                          const std::string& label) {
   Clustering expected = ref.clustering;
   expected.normalize();
   got.normalize();
   EXPECT_EQ(got.digest(), expected.digest()) << label;
+  EXPECT_EQ(tracer.counter("g1.shingles"), ref.g1_shingles) << label;
+  EXPECT_EQ(tracer.counter("g2.shingles"), ref.g2_shingles) << label;
+  EXPECT_EQ(tracer.counter("shingles"), ref.g1_shingles + ref.g2_shingles)
+      << label;
+}
+
+/// The single-node engines also keep the reference's cluster order and
+/// run pass 2 once per distinct list.
+void expect_equals_reference(Clustering got, const Reference& ref,
+                             const obs::Tracer& tracer,
+                             const std::string& label) {
+  EXPECT_EQ(got.clusters(), ref.clustering.clusters()) << label;
+  expect_same_clusters(std::move(got), ref, tracer, label);
   // A retried or replanned batch lands its tuples once.
   EXPECT_EQ(tracer.counter("pass2.tuples"), ref.tuples2) << label;
   EXPECT_EQ(tracer.counter("pass2.lists"), ref.pass2_lists) << label;
-  EXPECT_EQ(tracer.counter("g2.shingles"), ref.g2_shingles) << label;
-  EXPECT_EQ(tracer.counter("shingles"),
-            tracer.counter("g1.shingles") + tracer.counter("g2.shingles"))
-      << label;
+}
+
+std::string mode_label(ReportMode mode) {
+  return mode == ReportMode::Partition ? " partition" : " overlapping";
+}
+
+/// A transient copy fault (retried), an OOM (replanned at half the batch
+/// size), then persistent kernel faults from pass 2's `kernel_offset`-th
+/// kernel call on, which finish the pass on the CPU. Pass 1's device calls
+/// are counted first, so every fault lands in pass 2.
+fault::FaultPlan pass2_fault_plan(const graph::CsrGraph& g,
+                                  const ShinglingParams& params,
+                                  std::size_t batch, u64 alloc_offset,
+                                  u64 kernel_offset) {
+  fault::FaultPlan probe;
+  device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+  ctx.set_fault_plan(&probe);
+  DevicePassOptions pass;
+  pass.max_batch_elements = batch;
+  extract_shingles_device(
+      ctx, g.offsets(), g.adjacency(),
+      HashFamily(params.c1, params.prime, params.seed, 1), params.s1, pass);
+  ctx.set_fault_plan(nullptr);
+  const u64 allocs = probe.calls(fault::FaultSite::Alloc);
+  const u64 h2d = probe.calls(fault::FaultSite::H2D);
+  const u64 kernels = probe.calls(fault::FaultSite::Kernel);
+  return fault::FaultPlan::parse(
+      "xfer_fail@h2d:" + std::to_string(h2d + 1) +
+      ",oom@alloc:" + std::to_string(allocs + alloc_offset) +
+      ",kernel_fail@kernel:" + std::to_string(kernels + kernel_offset) + "-" +
+      std::to_string(kernels + 10000));
 }
 
 TEST(FusedAggregation, SerialShinglerMatchesReference) {
   const auto g = engine_test_graph();
   for (ReportMode mode : {ReportMode::Partition, ReportMode::Overlapping}) {
     const auto params = engine_test_params(mode);
+    const Reference ref = reference_run(g, params);
+    EXPECT_LT(ref.pass2_lists, ref.eligible_lists);  // repeated lists
     obs::Tracer tracer;
-    expect_equals_reference(SerialShingler(params).cluster(g, &tracer),
-                            reference_run(g, params), tracer, "serial");
+    expect_equals_reference(SerialShingler(params).cluster(g, &tracer), ref,
+                            tracer, "serial");
   }
 }
 
@@ -298,8 +352,7 @@ TEST(FusedAggregation, GpClustMatchesReferenceAcrossBatchesAndStreams) {
             GpClust(ctx, params, options).cluster(g, &report);
         const std::string label = "batch=" + std::to_string(batch) +
                                   " streams=" + std::to_string(streams) +
-                                  " mode=" +
-                                  std::to_string(static_cast<int>(mode));
+                                  mode_label(mode);
         expect_equals_reference(got, ref, tracer, label);
         EXPECT_EQ(ctx.arena().used(), 0u) << label;
         if (batch != 0) {
@@ -317,30 +370,7 @@ TEST(FusedAggregation, GpClustMatchesReferenceUnderPass2Faults) {
   const auto params = engine_test_params(ReportMode::Partition);
   const Reference ref = reference_run(g, params);
   constexpr std::size_t kBatch = 31;
-
-  // Count pass 1's device calls, so every fault below lands in pass 2.
-  fault::FaultPlan probe;
-  {
-    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
-    ctx.set_fault_plan(&probe);
-    DevicePassOptions pass;
-    pass.max_batch_elements = kBatch;
-    extract_shingles_device(
-        ctx, g.offsets(), g.adjacency(),
-        HashFamily(params.c1, params.prime, params.seed, 1), params.s1, pass);
-    ctx.set_fault_plan(nullptr);
-  }
-  const u64 allocs = probe.calls(fault::FaultSite::Alloc);
-  const u64 h2d = probe.calls(fault::FaultSite::H2D);
-  const u64 kernels = probe.calls(fault::FaultSite::Kernel);
-
-  // A transient copy fault (retried), an OOM (replanned at half the batch
-  // size), then persistent kernel faults that finish the pass on the CPU.
-  auto plan = fault::FaultPlan::parse(
-      "xfer_fail@h2d:" + std::to_string(h2d + 1) +
-      ",oom@alloc:" + std::to_string(allocs + 12) +
-      ",kernel_fail@kernel:" + std::to_string(kernels + 90) + "-" +
-      std::to_string(kernels + 10000));
+  auto plan = pass2_fault_plan(g, params, kBatch, 12, 90);
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
   obs::Tracer tracer;
   GpClustOptions options;
@@ -359,6 +389,127 @@ TEST(FusedAggregation, GpClustMatchesReferenceUnderPass2Faults) {
   EXPECT_GE(report.pass2.num_batch_replans, 1u);
   EXPECT_TRUE(report.pass2.cpu_fallback);
 }
+
+TEST(FusedAggregation, DroppingShortListsKeepsTheReference) {
+  // A sparse graph: most first-level shingles have one owner, so most G_I
+  // lists are shorter than s2 and the shared aggregation drops them. The
+  // partitions, the g1.shingles count (every first-level shingle) and the
+  // lists pass 2 runs on stay those of the unpruned reference.
+  const auto g = graph::generate_erdos_renyi(400, 0.01, 14);
+  for (ReportMode mode : {ReportMode::Partition, ReportMode::Overlapping}) {
+    const auto params = engine_test_params(mode);
+    const Reference ref = reference_run(g, params);
+    EXPECT_GT(ref.short_lists, 4 * ref.eligible_lists);
+    EXPECT_GT(ref.eligible_lists, 0u);
+    obs::Tracer serial_tracer;
+    expect_equals_reference(SerialShingler(params).cluster(g, &serial_tracer),
+                            ref, serial_tracer, "serial" + mode_label(mode));
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+    obs::Tracer tracer;
+    GpClustOptions options;
+    options.max_batch_elements = 31;
+    options.tracer = &tracer;
+    expect_equals_reference(GpClust(ctx, params, options).cluster(g), ref,
+                            tracer, "gpclust" + mode_label(mode));
+  }
+}
+
+// -- Randomized differential sweep -----------------------------------------
+
+enum class GraphKind { Planted, PowerLaw, ErdosRenyi };
+
+graph::CsrGraph sweep_graph(GraphKind kind, u64 seed) {
+  switch (kind) {
+    case GraphKind::Planted: {
+      graph::PlantedFamilyConfig cfg;
+      cfg.num_families = 6;
+      cfg.min_family_size = 4;
+      cfg.max_family_size = 16;
+      cfg.num_singletons = 6;
+      cfg.seed = 900 + seed;
+      return graph::generate_planted_families(cfg).graph;
+    }
+    case GraphKind::PowerLaw:
+      return graph::generate_power_law(160, 6.0, 1.8, 700 + seed);
+    case GraphKind::ErdosRenyi:
+      return graph::generate_erdos_renyi(120, 0.06, 500 + seed);
+  }
+  return {};
+}
+
+std::string sweep_name(
+    const ::testing::TestParamInfo<std::tuple<GraphKind, int>>& info) {
+  constexpr const char* kKinds[] = {"Planted", "PowerLaw", "ErdosRenyi"};
+  return kKinds[static_cast<int>(std::get<0>(info.param))] +
+         std::to_string(std::get<1>(info.param));
+}
+
+class DifferentialSweep
+    : public ::testing::TestWithParam<std::tuple<GraphKind, int>> {};
+
+TEST_P(DifferentialSweep, EveryEngineMatchesThePaperLiteralPath) {
+  const auto [kind, seed] = GetParam();
+  const auto g = sweep_graph(kind, static_cast<u64>(seed));
+  for (ReportMode mode : {ReportMode::Partition, ReportMode::Overlapping}) {
+    auto params = engine_test_params(mode);
+    params.seed = 40 + static_cast<u64>(seed);
+    const Reference ref = reference_run(g, params);
+
+    obs::Tracer serial_tracer;
+    expect_equals_reference(SerialShingler(params).cluster(g, &serial_tracer),
+                            ref, serial_tracer, "serial" + mode_label(mode));
+
+    for (std::size_t batch : {std::size_t{31}, std::size_t{0}}) {
+      for (std::size_t streams : {1u, 2u}) {
+        device::DeviceContext ctx(
+            device::DeviceSpec::small_test_device(4 << 20));
+        obs::Tracer tracer;
+        GpClustOptions options;
+        options.max_batch_elements = batch;
+        options.num_streams = streams;
+        options.tracer = &tracer;
+        const std::string label = "batch=" + std::to_string(batch) +
+                                  " streams=" + std::to_string(streams) +
+                                  mode_label(mode);
+        expect_equals_reference(GpClust(ctx, params, options).cluster(g), ref,
+                                tracer, label);
+        EXPECT_EQ(ctx.arena().used(), 0u) << label;
+      }
+    }
+
+    auto plan = pass2_fault_plan(g, params, 31, 6, 3);
+    device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
+    obs::Tracer tracer;
+    GpClustOptions options;
+    options.max_batch_elements = 31;
+    options.fault_plan = &plan;
+    options.resilience.mode = fault::ResilienceMode::Fallback;
+    options.tracer = &tracer;
+    GpClustReport report;
+    expect_equals_reference(GpClust(ctx, params, options).cluster(g, &report),
+                            ref, tracer, plan.to_string() + mode_label(mode));
+    EXPECT_EQ(ctx.arena().used(), 0u);
+    EXPECT_GE(report.pass2.num_retries, 1u);
+    EXPECT_GE(report.pass2.num_batch_replans, 1u);
+    EXPECT_TRUE(report.pass2.cpu_fallback);
+
+    for (std::size_t ranks : {1u, 3u, 4u}) {
+      obs::Tracer dist_tracer;
+      expect_same_clusters(
+          dist::distributed_cluster(g, params, ranks, nullptr, &dist_tracer),
+          ref, dist_tracer,
+          "ranks=" + std::to_string(ranks) + mode_label(mode));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomGraphs, DifferentialSweep,
+    ::testing::Combine(::testing::Values(GraphKind::Planted,
+                                         GraphKind::PowerLaw,
+                                         GraphKind::ErdosRenyi),
+                       ::testing::Range(0, 8)),
+    sweep_name);
 
 }  // namespace
 }  // namespace gpclust::core

@@ -163,9 +163,11 @@ TEST(SerialShingler, MetricsShowShinglingDominates) {
   obs::Tracer tracer;
   SerialShingler(p).cluster(g, &tracer);
 
-  const BipartiteShingleGraph gi = aggregate_tuples(extract_shingles_serial(
-      g.offsets(), g.adjacency(), HashFamily(p.c1, p.prime, p.seed, 1), p.s1));
-  const DistinctLists pass2 = distinct_lists(gi, p.s2);
+  const BipartiteShingleGraph gi = aggregate_tuples(
+      extract_shingles_serial(g.offsets(), g.adjacency(),
+                              HashFamily(p.c1, p.prime, p.seed, 1), p.s1),
+      p.s2);
+  const DistinctLists pass2 = distinct_lists(gi);
   ASSERT_EQ(tracer.counter("pass2.lists"), pass2.lists.num_left());
   const double hashing =
       static_cast<double>(p.c1) * static_cast<double>(g.adjacency().size()) +

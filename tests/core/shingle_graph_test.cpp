@@ -58,6 +58,33 @@ TEST(AggregateTuples, MatchesSortUniqueGroupReferenceAcrossBucketCounts) {
   }
 }
 
+TEST(AggregateTuples, MinLenKeepsTheLongGroupsInOrder) {
+  // The reference with every group shorter than min_len dropped; the
+  // survivors keep their order and num_left counts every group.
+  for (std::size_t n : {0u, 1u, 65u, 1000u, 100000u}) {
+    for (u32 min_len : {2u, 3u, 9u}) {
+      ShingleTuples t = duplicated_tuples(n, n + 7);
+      const BipartiteShingleGraph all = reference_aggregate(t);
+      BipartiteShingleGraph expected;
+      expected.offsets.push_back(0);
+      for (std::size_t f = 0; f < all.num_left(); ++f) {
+        const auto l = all.list(f);
+        if (l.size() < min_len) continue;
+        expected.members.insert(expected.members.end(), l.begin(), l.end());
+        expected.offsets.push_back(expected.members.size());
+      }
+      std::size_t num_left = 0;
+      const BipartiteShingleGraph g =
+          aggregate_tuples(std::move(t), min_len, &num_left);
+      const std::string label =
+          "n=" + std::to_string(n) + " min_len=" + std::to_string(min_len);
+      EXPECT_EQ(num_left, all.num_left()) << label;
+      EXPECT_EQ(g.offsets, expected.offsets) << label;
+      EXPECT_EQ(g.members, expected.members) << label;
+    }
+  }
+}
+
 TEST(AggregateTuples, MatchesReferenceBeyondTheBucketCap) {
   // More than 2^16 buckets' worth of 64 tuples: the bucket count is capped
   // and the buckets grow instead.
@@ -229,19 +256,14 @@ BipartiteShingleGraph graph_of(const std::vector<std::vector<u32>>& lists) {
   return g;
 }
 
-/// The map-based reference: the first list of each content with at least
-/// `min_len` members represents it; the lists keep first-seen order.
-DistinctLists reference_distinct(const BipartiteShingleGraph& gi,
-                                 u32 min_len) {
+/// The map-based reference: the first list of each content represents
+/// it; the lists keep first-seen order.
+DistinctLists reference_distinct(const BipartiteShingleGraph& gi) {
   std::map<std::vector<u32>, u32> first;
   DistinctLists d;
   d.lists.offsets.push_back(0);
   for (u32 f = 0; f < gi.num_left(); ++f) {
     const auto l = gi.list(f);
-    if (l.size() < min_len) {
-      d.rep_of.push_back(S1Components::kNone);
-      continue;
-    }
     const auto [it, fresh] =
         first.emplace(std::vector<u32>(l.begin(), l.end()), f);
     d.rep_of.push_back(it->second);
@@ -263,30 +285,18 @@ void expect_same(const DistinctLists& got, const DistinctLists& expected,
 TEST(DistinctLists, IdenticalListsCollapseToTheSmallestIndex) {
   const auto gi =
       graph_of({{3, 5}, {1, 2, 9}, {3, 5}, {4, 7}, {1, 2, 9}, {3, 5}});
-  const DistinctLists d = distinct_lists(gi, 2);
+  const DistinctLists d = distinct_lists(gi);
   EXPECT_EQ(d.rep_of, (std::vector<u32>{0, 1, 0, 3, 1, 0}));
   // One list per class, in the order of the representatives.
   EXPECT_EQ(d.lists.offsets, (std::vector<u64>{0, 2, 5, 7}));
   EXPECT_EQ(d.lists.members, (std::vector<u32>{3, 5, 1, 2, 9, 4, 7}));
-  expect_same(d, reference_distinct(gi, 2), "");
-}
-
-TEST(DistinctLists, ListsShorterThanMinLenMapToNone) {
-  const auto gi = graph_of({{4}, {}, {4}, {4, 6}, {6}, {4, 6}});
-  const DistinctLists d = distinct_lists(gi, 2);
-  constexpr u32 kNone = S1Components::kNone;
-  EXPECT_EQ(d.rep_of, (std::vector<u32>{kNone, kNone, kNone, 3, kNone, 3}));
-  ASSERT_EQ(d.lists.num_left(), 1u);
-  EXPECT_EQ(d.lists.members, (std::vector<u32>{4, 6}));
-  // With min_len 1 the one-member lists count, the empty one still not.
-  const DistinctLists d1 = distinct_lists(gi, 1);
-  EXPECT_EQ(d1.rep_of, (std::vector<u32>{0, kNone, 0, 3, 4, 3}));
+  expect_same(d, reference_distinct(gi), "");
 }
 
 TEST(DistinctLists, ListsDifferingOnlyInTheLastMemberOrLengthStayDistinct) {
   const auto gi =
       graph_of({{1, 2, 3}, {1, 2, 4}, {1, 2}, {1, 2, 3, 4}, {0, 2, 3}});
-  const DistinctLists d = distinct_lists(gi, 2);
+  const DistinctLists d = distinct_lists(gi);
   EXPECT_EQ(d.rep_of, (std::vector<u32>{0, 1, 2, 3, 4}));
   EXPECT_EQ(d.lists.offsets, gi.offsets);
   EXPECT_EQ(d.lists.members, gi.members);
@@ -315,15 +325,15 @@ TEST(DistinctLists, MatchesTheMapReferenceOnManyRepeatedLists) {
     lists.push_back(templates[rng.next_below(templates.size())]);
   }
   const auto gi = graph_of(lists);
-  const DistinctLists expected = reference_distinct(gi, 2);
+  const DistinctLists expected = reference_distinct(gi);
   ASSERT_LT(expected.lists.num_left(), gi.num_left() / 10);
-  expect_same(distinct_lists(gi, 2), expected, "");
+  expect_same(distinct_lists(gi), expected, "");
 }
 
 TEST(DistinctLists, EmptyGraph) {
   for (const BipartiteShingleGraph& gi :
        {BipartiteShingleGraph{}, graph_of({})}) {
-    const DistinctLists d = distinct_lists(gi, 2);
+    const DistinctLists d = distinct_lists(gi);
     EXPECT_TRUE(d.rep_of.empty());
     EXPECT_EQ(d.lists.num_left(), 0u);
     EXPECT_EQ(d.lists.offsets, (std::vector<u64>{0}));
@@ -334,14 +344,15 @@ TEST(DistinctLists, EmptyGraph) {
 }
 
 TEST(DistinctLists, ExpandGivesEveryDuplicateItsRepresentativesComponent) {
-  const auto gi = graph_of({{1, 2}, {3}, {5, 6}, {1, 2}, {7, 8}, {5, 6}});
-  const DistinctLists d = distinct_lists(gi, 2);
-  ASSERT_EQ(d.lists.num_left(), 3u);  // S1 nodes 0, 2 and 4
+  const auto gi = graph_of({{1, 2}, {3, 4}, {5, 6}, {1, 2}, {7, 8}, {5, 6}});
+  const DistinctLists d = distinct_lists(gi);
+  ASSERT_EQ(d.lists.num_left(), 4u);  // S1 nodes 0, 1, 2 and 4
+  // A representative without a component keeps none.
+  constexpr u32 kNone = S1Components::kNone;
   S1Components compact;
-  compact.of = {0, 1, 0};
+  compact.of = {0, kNone, 1, 0};
   compact.count = 2;
   const S1Components full = d.expand(compact);
-  constexpr u32 kNone = S1Components::kNone;
   EXPECT_EQ(full.of, (std::vector<u32>{0, kNone, 1, 0, 0, 1}));
   EXPECT_EQ(full.count, 2u);
   S1Components wrong_size;

@@ -4,6 +4,7 @@
 
 #include "core/serial_pclust.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 
 namespace gpclust::dist {
 namespace {
@@ -74,6 +75,23 @@ TEST(DistShingling, StatsReportExchanges) {
   EXPECT_EQ(stats.num_ranks, 4u);
   EXPECT_GT(stats.tuples_exchanged_pass1, 0u);
   EXPECT_GT(stats.tuples_exchanged_pass2, 0u);
+}
+
+TEST(DistShingling, ReportsTheEnginesShingleCounters) {
+  // Ranks own disjoint shingle ranges, so the summed counters equal the
+  // single-node engine's, whatever the rank count.
+  const auto g = graph::generate_erdos_renyi(200, 0.08, 3);
+  obs::Tracer serial;
+  core::SerialShingler(test_params()).cluster(g, &serial);
+  ASSERT_GT(serial.counter("g2.shingles"), 0u);
+  for (std::size_t ranks : {1u, 3u, 4u}) {
+    obs::Tracer tracer;
+    distributed_cluster(g, test_params(), ranks, nullptr, &tracer);
+    for (const char* counter : {"g1.shingles", "g2.shingles", "shingles"}) {
+      EXPECT_EQ(tracer.counter(counter), serial.counter(counter))
+          << counter << " ranks=" << ranks;
+    }
+  }
 }
 
 TEST(DistShingling, EmptyGraph) {

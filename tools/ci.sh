@@ -65,6 +65,10 @@ echo "=== tier 1b5: Table I bench smoke + perf-trajectory gate ==="
 ./build-ci/bench/bench_table1 --quick --json=build-ci/BENCH_table1.json
 python3 tools/compare_bench.py BENCH_table1.json build-ci/BENCH_table1.json
 
+echo "=== tier 1b6: distributed shingling smoke ==="
+# dist at a non-toy size: exits 1 if any rank count differs from serial.
+./build-ci/bench/bench_dist --scale 0.05 --ranks 1,3,4
+
 echo "=== tier 1c: family-index round trip (build-index -> query) ==="
 # The serving-layer smoke (store + serve unit tests run inside ctest
 # above): persist a demo family index, then classify its own ORFs back —
