@@ -16,14 +16,10 @@ double DeviceContext::transform_cost(std::size_t elements) const {
          static_cast<double>(elements) / spec_.transform_elems_per_sec;
 }
 
-double DeviceContext::sort_cost(std::size_t elements) const {
-  return spec_.kernel_launch_sec +
-         static_cast<double>(elements) / spec_.sort_elems_per_sec;
-}
-
 double DeviceContext::segmented_sort_cost(std::size_t elements,
                                           std::size_t max_segment_bytes) const {
-  const double base = sort_cost(elements);
+  const double base = spec_.kernel_launch_sec +
+                      static_cast<double>(elements) / spec_.sort_elems_per_sec;
   if (max_segment_bytes <= spec_.shared_memory_per_block) return base;
   // Oversized segments spill to global memory; model a 4x throughput hit
   // on the whole pass (the spilling segments dominate it).

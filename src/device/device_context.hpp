@@ -1,8 +1,8 @@
 #pragma once
 // DeviceContext: one simulated GPU — memory arena, event timeline, cost
 // model and the host thread pool that stands in for the device's cores.
-// Mirrors the role of a CUDA context; DeviceVector and the primitives in
-// primitives.hpp all operate through one of these.
+// Mirrors the role of a CUDA context; DeviceVector and the kernel launches
+// in primitives.hpp all operate through one of these.
 
 #include <cstddef>
 #include <memory>
@@ -32,9 +32,9 @@ class DeviceContext {
 
   // --- cost model -------------------------------------------------------
   double transform_cost(std::size_t elements) const;
-  double sort_cost(std::size_t elements) const;
-  /// Segmented sort: the base sort cost, multiplied by the global-memory
-  /// penalty when the largest segment exceeds per-block shared memory.
+  /// Segmented sort: the base sort cost of `elements`, multiplied by the
+  /// global-memory penalty when the largest segment exceeds per-block
+  /// shared memory.
   double segmented_sort_cost(std::size_t elements,
                              std::size_t max_segment_bytes) const;
   double h2d_cost(std::size_t bytes) const;
@@ -79,7 +79,7 @@ class DeviceContext {
   // --- fault injection ----------------------------------------------------
   /// Attaches a deterministic fault plan to the whole device: the arena
   /// consults its "alloc" site, the transfer helpers "h2d"/"d2h", and
-  /// every kernel primitive "kernel". Null detaches.
+  /// every kernel launch "kernel". Null detaches.
   void set_fault_plan(fault::FaultPlan* plan) {
     fault_plan_ = plan;
     arena_.set_fault_plan(plan);

@@ -1,9 +1,9 @@
 #pragma once
 // DeviceVector<T>: the thrust::device_vector analog. Owns a block of
 // simulated device memory (capacity-accounted in the context's arena) and
-// is only legally touched by the primitives in primitives.hpp or by the
-// explicit copy functions below, which charge modeled transfer time on the
-// context timeline.
+// is only legally touched inside a kernel launched through primitives.hpp
+// or by the explicit copy functions below, which charge modeled transfer
+// time on the context timeline.
 
 #include <algorithm>
 #include <cstddef>
@@ -68,7 +68,7 @@ class DeviceVector {
     data_.shrink_to_fit();
   }
 
-  // "Device-side" access for primitives/kernels. Host algorithm code must
+  // "Device-side" access for launched kernels. Host algorithm code must
   // not dereference these directly (same discipline as raw device pointers
   // in CUDA); use copy_to_host/copy_to_device.
   std::span<T> device_span() { return {data_.data(), data_.size()}; }

@@ -39,7 +39,7 @@ TEST(DeviceContext, ZeroElementsStillPayLaunchLatency) {
 
 TEST(DeviceContext, SortCostsMoreThanTransformPerElement) {
   DeviceContext ctx(DeviceSpec::tesla_k20());
-  EXPECT_GT(ctx.sort_cost(1 << 20), ctx.transform_cost(1 << 20));
+  EXPECT_GT(ctx.segmented_sort_cost(1 << 20, 0), ctx.transform_cost(1 << 20));
 }
 
 TEST(DeviceContext, ResetTimelineClearsAccounting) {

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
-
-#include "util/rng.hpp"
+#include "fault/fault_plan.hpp"
 
 namespace gpclust::device {
 namespace {
@@ -29,137 +26,69 @@ class PrimitivesTest : public ::testing::Test {
   }
 };
 
+TEST_F(PrimitivesTest, LaunchKernelFaultFiresBeforeBody) {
+  fault::FaultPlan plan = fault::FaultPlan::parse("kernel_fail@kernel:0");
+  ctx_.set_fault_plan(&plan);
+  bool ran = false;
+  EXPECT_THROW(launch_kernel(ctx_, "transform", kDefaultStream, 1.0, 0.0,
+                             [&] { ran = true; }),
+               KernelError);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(ctx_.timeline().num_ops(), 0u);
+
+  // The plan fires at call index 0 only: the next launch runs and charges.
+  launch_kernel(ctx_, "segmented_sort", kDefaultStream, 1.0, 0.0,
+                [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ctx_.timeline().num_ops(), 1u);
+  EXPECT_EQ(plan.injected(), 1u);
+}
+
+TEST_F(PrimitivesTest, LaunchKernelChargesCostFromReadyAfter) {
+  const double cost = ctx_.transform_cost(1000);
+  const double done = launch_kernel(ctx_, "transform", kDefaultStream, cost,
+                                    /*ready_after=*/5.0);
+  EXPECT_DOUBLE_EQ(done, 5.0 + cost);
+  EXPECT_DOUBLE_EQ(ctx_.gpu_seconds(), cost);
+
+  // Same stream, no dependency: queues behind the first kernel.
+  const double next =
+      launch_kernel(ctx_, "tabulate", kDefaultStream, 2.0, 0.0, [] {});
+  EXPECT_DOUBLE_EQ(next, done + 2.0);
+  EXPECT_DOUBLE_EQ(ctx_.gpu_seconds(), cost + 2.0);
+}
+
 TEST_F(PrimitivesTest, TransformAppliesFunctor) {
   auto in = upload<u32>({1, 2, 3, 4});
   DeviceVector<u32> out(ctx_, 4);
-  transform(in, out, [](u32 x) { return x * x; });
+  transform_weighted(in, out, [](u32 x) { return x * x; }, 4);
   EXPECT_EQ(download(out), (std::vector<u32>{1, 4, 9, 16}));
 }
 
 TEST_F(PrimitivesTest, TransformChargesKernelTime) {
   auto in = upload<u32>(std::vector<u32>(1000, 1));
   DeviceVector<u32> out(ctx_, 1000);
-  const double before = ctx_.gpu_seconds();
-  transform(in, out, [](u32 x) { return x; });
-  EXPECT_GT(ctx_.gpu_seconds(), before);
-}
-
-TEST_F(PrimitivesTest, TabulateGeneratesByIndex) {
-  DeviceVector<u64> v(ctx_, 5);
-  tabulate(v, [](std::size_t i) { return static_cast<u64>(i * 10); });
-  EXPECT_EQ(download(v), (std::vector<u64>{0, 10, 20, 30, 40}));
-}
-
-TEST_F(PrimitivesTest, SortMatchesStdSort) {
-  util::Xoshiro256 rng(4);
-  std::vector<u64> host(5000);
-  for (auto& x : host) x = rng.next();
-  auto dev = upload(host);
-  sort(dev);
-  std::sort(host.begin(), host.end());
-  EXPECT_EQ(download(dev), host);
-}
-
-TEST_F(PrimitivesTest, SortWithCustomComparator) {
-  auto dev = upload<u32>({3, 1, 2});
-  sort(dev, std::greater<u32>{});
-  EXPECT_EQ(download(dev), (std::vector<u32>{3, 2, 1}));
-}
-
-TEST_F(PrimitivesTest, SegmentedSortSortsWithinSegmentsOnly) {
-  auto dev = upload<u32>({5, 3, 9, 2, 8, 1, 7});
-  const std::vector<u64> offsets = {0, 3, 3, 7};  // middle segment is empty
-  segmented_sort(dev, offsets);
-  EXPECT_EQ(download(dev), (std::vector<u32>{3, 5, 9, 1, 2, 7, 8}));
-}
-
-TEST_F(PrimitivesTest, SegmentedSortMatchesPerSegmentStdSort) {
-  util::Xoshiro256 rng(11);
-  std::vector<u64> host(2000);
-  for (auto& x : host) x = rng.next_below(1000);
-  // Random segment boundaries.
-  std::vector<u64> offsets = {0};
-  while (offsets.back() < host.size()) {
-    offsets.push_back(
-        std::min<u64>(host.size(), offsets.back() + 1 + rng.next_below(50)));
-  }
-  auto dev = upload(host);
-  segmented_sort(dev, offsets);
-  auto expected = host;
-  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
-    std::sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-              expected.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  }
-  EXPECT_EQ(download(dev), expected);
-}
-
-TEST_F(PrimitivesTest, SegmentedSortValidatesOffsets) {
-  auto dev = upload<u32>({1, 2, 3});
-  const std::vector<u64> bad = {0, 2};
-  EXPECT_THROW(segmented_sort(dev, bad), InvalidArgument);
-  EXPECT_THROW(segmented_sort(dev, std::span<const u64>{}), InvalidArgument);
-}
-
-TEST_F(PrimitivesTest, SortByKeyReordersValuesWithKeys) {
-  auto keys = upload<u64>({30, 10, 20});
-  auto values = upload<u32>({3, 1, 2});
-  sort_by_key(keys, values);
-  EXPECT_EQ(download(keys), (std::vector<u64>{10, 20, 30}));
-  EXPECT_EQ(download(values), (std::vector<u32>{1, 2, 3}));
-}
-
-TEST_F(PrimitivesTest, SortByKeyIsStable) {
-  auto keys = upload<u64>({1, 0, 1, 0});
-  auto values = upload<u32>({10, 20, 30, 40});
-  sort_by_key(keys, values);
-  EXPECT_EQ(download(values), (std::vector<u32>{20, 40, 10, 30}));
-}
-
-TEST_F(PrimitivesTest, ReduceSums) {
-  auto dev = upload<u64>({1, 2, 3, 4, 5});
-  EXPECT_EQ(reduce(dev, u64{100}), 115u);
-}
-
-TEST_F(PrimitivesTest, ExclusiveScan) {
-  auto dev = upload<u64>({3, 1, 4, 1, 5});
-  exclusive_scan(dev, u64{0});
-  EXPECT_EQ(download(dev), (std::vector<u64>{0, 3, 4, 8, 9}));
-}
-
-TEST_F(PrimitivesTest, Gather) {
-  auto src = upload<u32>({10, 20, 30, 40});
-  auto map = upload<u64>({3, 0, 2});
-  DeviceVector<u32> out(ctx_, 3);
-  gather(src, map, out);
-  EXPECT_EQ(download(out), (std::vector<u32>{40, 10, 30}));
-}
-
-TEST_F(PrimitivesTest, GatherRejectsOutOfRangeIndex) {
-  auto src = upload<u32>({1, 2});
-  auto map = upload<u64>({5});
-  DeviceVector<u32> out(ctx_, 1);
-  EXPECT_THROW(gather(src, map, out), InvalidArgument);
+  ctx_.reset_timeline();
+  const double done =
+      transform_weighted(in, out, [](u32 x) { return x; }, 123456);
+  // Charged by DP cells, not by element count.
+  EXPECT_DOUBLE_EQ(ctx_.gpu_seconds(), ctx_.align_cost(123456));
+  EXPECT_DOUBLE_EQ(done, ctx_.makespan());
 }
 
 TEST_F(PrimitivesTest, MixedContextsRejected) {
   DeviceContext other(DeviceSpec::small_test_device(1 << 20));
   auto a = upload<u32>({1, 2, 3});
   DeviceVector<u32> b(other, 3);
-  EXPECT_THROW(transform(a, b, [](u32 x) { return x; }), InvalidArgument);
+  EXPECT_THROW(transform_weighted(a, b, [](u32 x) { return x; }, 3),
+               InvalidArgument);
 }
 
-TEST_F(PrimitivesTest, KernelCostScalesWithElements) {
-  auto small = upload<u32>(std::vector<u32>(100, 1));
-  auto big = upload<u32>(std::vector<u32>(100000, 1));
-  DeviceVector<u32> out_small(ctx_, 100), out_big(ctx_, 100000);
-
-  ctx_.reset_timeline();
-  transform(small, out_small, [](u32 x) { return x; });
-  const double t_small = ctx_.gpu_seconds();
-  ctx_.reset_timeline();
-  transform(big, out_big, [](u32 x) { return x; });
-  const double t_big = ctx_.gpu_seconds();
-  EXPECT_GT(t_big, t_small * 10);
+TEST_F(PrimitivesTest, TransformRejectsSmallOutput) {
+  auto in = upload<u32>({1, 2, 3});
+  DeviceVector<u32> small(ctx_, 1);
+  EXPECT_THROW(transform_weighted(in, small, [](u32 x) { return x; }, 3),
+               InvalidArgument);
 }
 
 }  // namespace

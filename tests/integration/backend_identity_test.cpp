@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "core/gpclust.hpp"
@@ -47,6 +48,15 @@ u64 serial_digest(const graph::CsrGraph& g,
   auto serial = core::SerialShingler(params).cluster(g);
   serial.normalize();
   return serial.digest();
+}
+
+// g<graph seed>_h<hash seed>_c<c1>_<mode>, e.g. g4242_h777_c10_Overlapping:
+// short enough that ctest ids stay distinct when cut at 100 characters.
+std::string identity_name(const ::testing::TestParamInfo<IdentityParam>& info) {
+  const auto& [graph_seed, hash_seed, c1, mode] = info.param;
+  return "g" + std::to_string(graph_seed) + "_h" + std::to_string(hash_seed) +
+         "_c" + std::to_string(c1) +
+         (mode == core::ReportMode::Partition ? "_Partition" : "_Overlapping");
 }
 
 class BackendIdentity : public ::testing::TestWithParam<IdentityParam> {};
@@ -107,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<u64>(777, 31337),      // hash seed
                        ::testing::Values<u32>(10, 7),           // c1
                        ::testing::Values(core::ReportMode::Partition,
-                                         core::ReportMode::Overlapping)));
+                                         core::ReportMode::Overlapping)),
+    identity_name);
 
 }  // namespace
 }  // namespace gpclust

@@ -11,10 +11,12 @@
 #      reference, and every `--flag` docs/cli.md documents must be parsed
 #      by one of those sources (google-benchmark's `--benchmark_*` flags
 #      aside), so a removed flag cannot linger in the reference.
-#   3. --help coverage — every flag gpclust-build-index and gpclust-query
-#      print in their --help reference must also appear in docs/cli.md.
+#   3. --help coverage, for each of gpclust, gpclust-build-index and
+#      gpclust-query — every flag the tool prints in its --help reference
+#      must also appear in docs/cli.md, and every flag the tool's own
+#      source reads (its get_*/has keys) must appear in its --help text.
 #      Uses the built binaries' live output when a build directory exists;
-#      falls back to scraping the flag tokens from the two sources so the
+#      falls back to scraping the flag tokens from the sources so the
 #      tier still runs build-free.
 #
 # Runnable locally from anywhere: sh tools/check_docs.sh
@@ -44,10 +46,14 @@ for md in *.md docs/*.md; do
 done
 
 echo "-- CLI flag coverage vs docs/cli.md"
-# Newlines folded first: a call may wrap between "get_int(" and its name.
-flags=$(cat tools/*.cpp bench/*.cpp examples/*.cpp | tr -s '\n ' '  ' |
-  grep -o 'get_\(int\|string\|bool\|double\)( *"[a-z0-9-]*"\|\.has( *"[a-z0-9-]*"' |
-  sed 's/.*( *"\([a-z0-9-]*\)".*/\1/' | sort -u)
+# Prints the flag names the given sources read. Newlines folded first: a
+# call may wrap between "get_int(" and its name.
+read_flags() {
+  cat "$@" | tr -s '\n ' '  ' |
+    grep -o 'get_\(int\|string\|bool\|double\)( *"[a-z0-9-]*"\|\.has( *"[a-z0-9-]*"' |
+    sed 's/.*( *"\([a-z0-9-]*\)".*/\1/' | sort -u
+}
+flags=$(read_flags tools/*.cpp bench/*.cpp examples/*.cpp)
 for f in $flags; do
   if ! grep -q -- "--$f" docs/cli.md; then
     echo "flag --$f is parsed in the sources but missing from docs/cli.md"
@@ -63,9 +69,10 @@ for f in $documented; do
   fi
 done
 
-echo "-- --help flag coverage vs docs/cli.md (gpclust-build-index, gpclust-query)"
-for tool in gpclust-build-index gpclust-query; do
+echo "-- --help flag coverage vs docs/cli.md and each tool's source"
+for tool in gpclust gpclust-build-index gpclust-query; do
   case "$tool" in
+    gpclust) src=tools/gpclust_cli.cpp ;;
     gpclust-build-index) src=tools/gpclust_build_index.cpp ;;
     gpclust-query) src=tools/gpclust_query.cpp ;;
   esac
@@ -74,7 +81,10 @@ for tool in gpclust-build-index gpclust-query; do
     if [ -x "$d/tools/$tool" ]; then bin="$d/tools/$tool"; break; fi
   done
   if [ -n "$bin" ]; then
-    help_text=$("$bin" --help)
+    help_text=$("$bin" --help) || {
+      echo "$bin --help exited non-zero (stale build?)"
+      fail=1
+    }
   else
     help_text=$(cat "$src")
   fi
@@ -83,6 +93,12 @@ for tool in gpclust-build-index gpclust-query; do
   for f in $help_flags; do
     if ! grep -q -- "$f" docs/cli.md; then
       echo "$tool flag $f is in its --help reference but missing from docs/cli.md"
+      fail=1
+    fi
+  done
+  for f in $(read_flags "$src"); do
+    if ! printf '%s\n' "$help_flags" | grep -qx -- "--$f"; then
+      echo "$tool reads --$f ($src) but its --help reference omits it"
       fail=1
     fi
   done

@@ -29,7 +29,7 @@
 //   --fasta=PATH           input protein FASTA
 //   --demo-families=N      instead of --fasta: synthetic metagenome with N
 //                          planted families (smoke-testing / demos)
-//   --out=PATH             snapshot output path (required unless --append)
+//   --out=PATH             snapshot output path (build and --compact only)
 //   --base-snapshot=PATH   existing snapshot; its delta chain is followed
 //                          before appending or compacting
 //   --append=F1[,F2,...]   ingest each FASTA as one incremental batch and
@@ -86,8 +86,8 @@ void print_help(std::FILE* out) {
       "--out=PATH [flags]\n"
       "  --fasta=PATH           input protein FASTA\n"
       "  --demo-families=N      synthetic metagenome with N planted families\n"
-      "  --out=PATH             snapshot output path (required unless "
-      "--append)\n"
+      "  --out=PATH             snapshot output path (build and --compact "
+      "only)\n"
       "  --base-snapshot=PATH   existing snapshot (delta chain followed)\n"
       "  --append=F1[,F2,...]   ingest each FASTA as one incremental batch; "
       "one delta link per batch\n"
@@ -183,9 +183,8 @@ int main(int argc, char** argv) {
       print_help(stdout);
       return 0;
     }
-    const auto fasta_path = args.get_string("fasta", "");
-    const auto demo_families = args.get_int("demo-families", 0);
-    const auto out_path = args.get_string("out", "");
+    // Each mode reads only its own flags, so reject_unknown() refuses the
+    // rest (e.g. --fasta or --out beside --append).
 
     // --- Streaming-ingest modes (DESIGN.md §15) ----------------------------
     const auto base_snapshot = args.get_string("base-snapshot", "");
@@ -193,6 +192,8 @@ int main(int argc, char** argv) {
     const bool compact = args.has("compact");
     if (!base_snapshot.empty() || !append_spec.empty() || compact) {
       const bool append = !append_spec.empty();
+      // Only compaction writes a snapshot; --append writes delta links.
+      const auto out_path = compact ? args.get_string("out", "") : "";
       if (base_snapshot.empty() || (append && compact) ||
           (!append && !compact) || (compact && out_path.empty())) {
         print_help(stderr);
@@ -240,13 +241,15 @@ int main(int argc, char** argv) {
                         split_csv(append_spec), std::move(tip));
     }
 
+    const auto fasta_path = args.get_string("fasta", "");
+    const auto demo_families = args.get_int("demo-families", 0);
+    const auto out_path = args.get_string("out", "");
     if (out_path.empty() || (fasta_path.empty() && demo_families <= 0)) {
       print_help(stderr);
       return 2;
     }
 
-    // Every flag this mode uses is read before any work starts, so
-    // reject_unknown() can refuse the rest (--seed is demo-only).
+    // --seed is demo-only.
     const u64 demo_seed =
         fasta_path.empty() ? static_cast<u64>(args.get_int("seed", 42)) : 0;
     const auto demo_fasta_out = args.get_string("demo-fasta-out", "");

@@ -50,6 +50,7 @@
 //                          retry: bounded retries, fatal when exhausted;
 //                          fallback: retries, then bit-identical CPU
 //                          fallback — the run always completes
+//   --help                 print the flag reference and exit
 
 #include <cstdio>
 
@@ -70,6 +71,50 @@
 namespace {
 
 using namespace gpclust;
+
+void print_help(std::FILE* out) {
+  std::fprintf(
+      out,
+      "gpclust: cluster a similarity graph (or protein sequences) with "
+      "Shingling\n"
+      "usage: gpclust --graph=PATH | --demo=N | --fasta=PATH | "
+      "--demo-orfs=N [flags]\n"
+      "  --graph=PATH           input graph; \".bin\" = binary CSR, else "
+      "edge list\n"
+      "  --demo=N               planted-family graph with ~N vertices\n"
+      "  --fasta=PATH           protein FASTA; the homology graph is built "
+      "first\n"
+      "  --demo-orfs=N          synthetic metagenome with ~N ORFs\n"
+      "  --verify-backend=scalar|simd|device  sequence-input verify backend "
+      "(default simd)\n"
+      "  --seed-mode=kmer|maximal|minhash  sequence-input candidate stream "
+      "(default kmer)\n"
+      "  --lsh-bands=N          minhash: LSH bands (default 32)\n"
+      "  --lsh-rows=N           minhash: signature rows per band "
+      "(default 1)\n"
+      "  --out=PATH             write the clusters, one per line\n"
+      "  --min-cluster-size=N   only write/count clusters of at least N "
+      "members (default 1)\n"
+      "  --engine=gpu|serial    implementation (default gpu)\n"
+      "  --s1=N --c1=N --s2=N --c2=N  shingling parameters "
+      "(default 2/200/2/100)\n"
+      "  --seed=N               hash-family seed (default 20130520)\n"
+      "  --mode=partition|overlapping  cluster reporting (default "
+      "partition)\n"
+      "  --components           decompose into connected components first\n"
+      "  --streams=K            device streams for the batch pipeline "
+      "(default 1 = synchronous)\n"
+      "  --device-mb=N          simulated device memory (default 5120)\n"
+      "  --report               print the Table-I style component "
+      "breakdown\n"
+      "  --trace-out=PATH       chrome://tracing JSON of the run\n"
+      "  --fault-plan=SPEC      comma-separated KIND@SITE:IDX, KIND@SITE in "
+      "{oom@alloc, xfer_fail@h2d, xfer_fail@d2h, kernel_fail@kernel}, IDX a "
+      "0-based call index N or inclusive range N-M\n"
+      "  --resilience=off|retry|fallback  device fault policy "
+      "(default off)\n"
+      "  --help                 print this reference and exit\n");
+}
 
 core::ShinglingParams params_from(const util::CliArgs& args) {
   core::ShinglingParams params;
@@ -93,25 +138,17 @@ int main(int argc, char** argv) {
   using namespace gpclust;
   try {
     const util::CliArgs args(argc, argv);
+    if (args.has("help")) {
+      print_help(stdout);
+      return 0;
+    }
     const auto graph_path = args.get_string("graph", "");
     const auto demo_vertices = args.get_int("demo", 0);
     const auto fasta_path = args.get_string("fasta", "");
     const auto demo_orfs = args.get_int("demo-orfs", 0);
     const bool sequence_mode = !fasta_path.empty() || demo_orfs > 0;
     if (graph_path.empty() && demo_vertices <= 0 && !sequence_mode) {
-      std::fprintf(
-          stderr,
-          "usage: gpclust --graph=PATH | --demo=N | --fasta=PATH | "
-          "--demo-orfs=N [--verify-backend=scalar|simd|device] "
-          "[--seed-mode=kmer|maximal|minhash] "
-          "[--lsh-bands=N] [--lsh-rows=N] [--out=PATH] "
-          "[--engine=gpu|serial] [--s1 N --c1 N --s2 N --c2 N] "
-          "[--streams=K] "
-          "[--components] [--trace-out=PATH] "
-          "[--fault-plan=SPEC] [--resilience=off|retry|fallback]\n"
-          "fault-plan spec: comma-separated KIND@SITE:IDX with KIND@SITE in "
-          "{oom@alloc, xfer_fail@h2d, xfer_fail@d2h, kernel_fail@kernel} and "
-          "IDX a 0-based call index N or inclusive range N-M\n");
+      print_help(stderr);
       return 2;
     }
 
