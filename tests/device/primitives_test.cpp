@@ -91,5 +91,47 @@ TEST_F(PrimitivesTest, TransformRejectsSmallOutput) {
                InvalidArgument);
 }
 
+TEST_F(PrimitivesTest, KernelCostScalesWithElements) {
+  auto small = upload<u32>(std::vector<u32>(100, 1));
+  auto big = upload<u32>(std::vector<u32>(100000, 1));
+  DeviceVector<u32> out_small(ctx_, 100), out_big(ctx_, 100000);
+
+  ctx_.reset_timeline();
+  transform_weighted(small, out_small, [](u32 x) { return x; }, small.size());
+  const double t_small = ctx_.gpu_seconds();
+  ctx_.reset_timeline();
+  transform_weighted(big, out_big, [](u32 x) { return x; }, big.size());
+  const double t_big = ctx_.gpu_seconds();
+  EXPECT_GT(t_big, t_small * 10);
+
+  const std::vector<u64> small_offsets{0, 100};
+  const std::vector<u64> big_offsets{0, 100000};
+  EXPECT_GT(segmented_sort_cost<u32>(ctx_, big_offsets),
+            segmented_sort_cost<u32>(ctx_, small_offsets) * 10);
+}
+
+class PrimitivesExtraTest : public PrimitivesTest {};
+
+TEST_F(PrimitivesExtraTest, AllChargeKernelTime) {
+  auto dev = upload<u32>(std::vector<u32>(1000, 1));
+  DeviceVector<u32> out(ctx_, 1000);
+  const std::vector<u64> offsets{0, 400, 1000};
+  ctx_.reset_timeline();
+
+  launch_kernel(ctx_, "segmented_sort", kDefaultStream,
+                segmented_sort_cost<u32>(ctx_, offsets));
+  const double after_sort = ctx_.gpu_seconds();
+  EXPECT_GT(after_sort, 0.0);
+
+  launch_kernel(ctx_, "transform", kDefaultStream, ctx_.transform_cost(1000),
+                0.0, [] {});
+  const double after_transform = ctx_.gpu_seconds();
+  EXPECT_GT(after_transform, after_sort);
+
+  transform_weighted(dev, out, [](u32 x) { return x; }, 1000);
+  EXPECT_GT(ctx_.gpu_seconds(), after_transform);
+  EXPECT_EQ(ctx_.timeline().num_ops(), 3u);
+}
+
 }  // namespace
 }  // namespace gpclust::device
